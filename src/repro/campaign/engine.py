@@ -286,6 +286,8 @@ def evaluate_firmware(config: CampaignConfig, index: int) -> FirmwareReport:
             report.baseline[(flavour, backend)] = outcome
         else:
             report.cells[(kind, flavour, backend)] = outcome
+        # Classified: the lane's machine is garbage from here on.
+        lane.machine.release_devices()
     if store is not None:
         store.put(digest, report)
     return report

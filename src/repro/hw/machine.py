@@ -157,6 +157,17 @@ class Machine:
     def device(self, name: str) -> MMIODevice:
         return self.devices[name]
 
+    def release_devices(self) -> None:
+        """Drop every device's back-link to this finished machine.
+
+        ``attach_device`` makes each device and the machine refer to
+        each other; breaking that cycle lets reference counting free
+        the machine (and its flash and SRAM) as soon as its owner
+        drops it.  The machine must not run again afterwards.
+        """
+        for device in self.devices.values():
+            device.machine = None
+
     # -- enforcement backend alias ------------------------------------
     #
     # Historical name: every caller said `machine.mpu` when the MPU was

@@ -28,6 +28,10 @@ MIN_REGION_SIZE = 32
 NUM_REGIONS = 8
 NUM_SUBREGIONS = 8
 
+#: Distinct region sets whose lowering the PMP and overlay backends
+#: each keep memoised per process (least recently used evicted first).
+LOWERING_MEMO_SIZE = 1024
+
 
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -46,7 +50,7 @@ def align_base(address: int, size: int) -> int:
     return address & ~(size - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MPURegion:
     """One MPU region descriptor.
 
@@ -54,6 +58,9 @@ class MPURegion:
     level, one of ``"NA"``, ``"RO"``, ``"RW"``.  ``subregion_disable``
     is an 8-bit mask; bit *i* set disables sub-region *i* (lowest
     addresses first, matching the SRD field).
+
+    Immutable and hashable: a region set (a tuple of descriptors) is
+    the key of the monitor's and the backends' lowering memos.
     """
 
     number: int

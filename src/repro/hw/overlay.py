@@ -22,16 +22,26 @@ primitive.
   (including sub-region fall-through and ``PRIVDEFENA``), which the
   differential property suite pins across all backends;
 * verdicts are memoised under the same word-granular key as the other
-  backends and dropped on every configuration epoch.
+  backends and dropped on every configuration epoch;
+* the lowering itself is a pure function of the region set, so each
+  distinct set is compiled once per process (:func:`_overlay_table`);
+  a load that hits the memo still starts a new epoch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Optional
 
 from .backend import EnforcementBackend
-from .mpu import ACCESS_NONE, ACCESS_READWRITE, MPURegion, NUM_REGIONS
+from .mpu import (
+    ACCESS_NONE,
+    ACCESS_READWRITE,
+    LOWERING_MEMO_SIZE,
+    MPURegion,
+    NUM_REGIONS,
+)
 
 
 def compile_regions_to_overlay(
@@ -66,6 +76,16 @@ def compile_regions_to_overlay(
     return starts, perms
 
 
+@lru_cache(maxsize=LOWERING_MEMO_SIZE)
+def _overlay_table(
+    regions: tuple[Optional[MPURegion], ...],
+) -> tuple[tuple[int, ...], tuple[Optional[tuple[str, str]], ...]]:
+    """The interval table of one region set, shared read-only by every
+    overlay instance that loads an equal set."""
+    starts, perms = compile_regions_to_overlay(regions)
+    return tuple(starts), tuple(perms)
+
+
 class OverlayProtection(EnforcementBackend):
     """A POE/MPK-style permission-overlay backend.
 
@@ -87,8 +107,6 @@ class OverlayProtection(EnforcementBackend):
         self.regions: list[Optional[MPURegion]] = [None] * NUM_REGIONS
         self.epoch = 0
         self._decisions: dict = {}
-        self._starts: list[int] = [0]
-        self._perms: list[Optional[tuple[str, str]]] = [None]
         self._recompile()
 
     def invalidate(self) -> None:
@@ -179,7 +197,7 @@ class OverlayProtection(EnforcementBackend):
     # -- internals ------------------------------------------------------
 
     def _recompile(self) -> None:
-        self._starts, self._perms = compile_regions_to_overlay(self.regions)
+        self._starts, self._perms = _overlay_table(tuple(self.regions))
         self.invalidate()
 
 

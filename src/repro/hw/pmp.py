@@ -23,10 +23,11 @@ runs unmodified on a PMP machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .backend import EnforcementBackend
-from .mpu import ACCESS_READ, ACCESS_READWRITE, MPURegion
+from .mpu import ACCESS_READ, ACCESS_READWRITE, LOWERING_MEMO_SIZE, MPURegion
 
 NUM_PMP_ENTRIES = 16
 MIN_GRAIN = 4  # NA4: the architectural minimum
@@ -182,6 +183,16 @@ def compile_regions_to_pmp(
     return entries
 
 
+@lru_cache(maxsize=LOWERING_MEMO_SIZE)
+def _pmp_entries(
+    regions: tuple[Optional[MPURegion], ...],
+) -> tuple[PMPEntry, ...]:
+    """The NAPOT entries of one region set, compiled once per process.
+    A set over the entry budget raises on every load: ``lru_cache``
+    never stores an exception."""
+    return tuple(compile_regions_to_pmp(regions))
+
+
 class PmpProtection(EnforcementBackend):
     """The PMP :class:`~repro.hw.backend.EnforcementBackend` (§7 port).
 
@@ -289,7 +300,7 @@ class PmpProtection(EnforcementBackend):
     # -- internals ---------------------------------------------------------------
 
     def _recompile(self) -> None:
-        entries = compile_regions_to_pmp(self.regions)
+        entries = _pmp_entries(tuple(self.regions))
         self.pmp = PMP(enabled=True)
         for index, entry in enumerate(entries):
             self.pmp.set_entry(index, entry)

@@ -27,7 +27,13 @@ pays them once:
   running.  Non-``MachineError`` failures are wrapped in
   :class:`LaneFailure` (carrying the lane name and the original
   exception as ``__cause__``) so a campaign-scale sweep never loses
-  N-1 finished lanes to one buggy stimulus.
+  N-1 finished lanes to one buggy stimulus.  A recorded
+  ``MachineError`` keeps no traceback (:func:`_drop_tracebacks`): its
+  frames would reach the runner, its lanes and the error again, a
+  cycle that keeps every finished machine alive until a full garbage
+  collection.  The crash context rides on the error itself; a
+  ``LaneFailure`` keeps its original's traceback, the host defect's
+  only diagnostic.
 
 ``REPRO_BATCH`` supplies a default lane count for harnesses
 (``repro bench batch``); like the other knobs it validates loudly.
@@ -63,6 +69,20 @@ class LaneFailure(MachineError):
         self.lane_name = lane_name
         self.original = original
         self.__cause__ = original
+
+
+def _drop_tracebacks(error: BaseException) -> None:
+    """Clear the tracebacks of ``error`` and of every exception on its
+    ``__cause__`` / ``__context__`` chain."""
+    chain = [error]
+    seen = set()
+    while chain:
+        error = chain.pop()
+        if error is None or id(error) in seen:
+            continue
+        seen.add(id(error))
+        error.__traceback__ = None
+        chain += (error.__cause__, error.__context__)
 
 
 def batch_lanes(default: int = DEFAULT_LANES) -> int:
@@ -187,6 +207,7 @@ class BatchRunner:
                 try:
                     running = lane.interpreter.advance()
                 except MachineError as error:
+                    _drop_tracebacks(error)
                     lane.error = error
                     continue
                 except Exception as error:  # noqa: BLE001 — isolation

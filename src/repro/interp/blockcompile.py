@@ -51,6 +51,14 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
   does not specialise (runtime struct indices, unknown ops) delegate
   to ``Interpreter._execute`` mid-block.
 
+* **One code object per distinct source.**  Generated source is a
+  pure function of the block's structure (bindings are numbered, not
+  named after the objects they hold), so structurally identical
+  blocks — the same helper linked into many firmwares — share one
+  code object from a bounded per-process memo (:func:`_block_code`).
+  Each block still ``exec``s it into its own namespace, so it binds
+  its own operands and globals.
+
 * **Device-wait fast-forward.**  A block heading a device-wait loop
   (:func:`wait_loop`) calls ``Interpreter._wait_skip`` on its
   loop-continue branch, which charges the further idle poll
@@ -64,6 +72,7 @@ unknown spellings raise loudly, matching ``REPRO_TRACE``.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from ..hw.board import PPB_BASE as _PPB_BASE, PPB_END as _PPB_END
@@ -113,6 +122,10 @@ _ICMP_SYMBOLS = {"eq": "==", "ne": "!=",
                  "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 _ICMP_SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
 
+#: Distinct generated block sources whose code objects stay memoised
+#: per process (least recently used evicted first).
+CODE_MEMO_SIZE = 1024
+
 
 def block_compile_enabled() -> bool:
     """Whether ``REPRO_BLOCKCOMPILE`` asks for compiled-block execution.
@@ -150,6 +163,18 @@ def _fold_signed(value: int, bits: int) -> int:
     """Compile-time twos-complement fold (mirrors ``_to_signed``)."""
     sign = 1 << (bits - 1)
     return (value & (sign - 1)) - (value & sign)
+
+
+@lru_cache(maxsize=CODE_MEMO_SIZE)
+def _block_code(source: str, filename: str):
+    """``(source, code)`` for one generated block, compiled on a miss.
+
+    The key is everything ``compile`` reads, so a hit is the code
+    object a fresh compile would build; the memo's ``source`` string
+    is returned too, so blocks sharing code share one string.  A
+    failing compile raises and is not memoised.
+    """
+    return source, compile(source, filename, "exec")
 
 
 def _inst_cost(inst: Instruction) -> int:
@@ -896,7 +921,8 @@ class _BlockCompiler:
             "_tdiv": _trunc_div,
             "_undef": _undef,
         })
-        code = compile(source, f"<block @{self.fname}:{block.name}>", "exec")
+        source, code = _block_code(
+            source, f"<block @{self.fname}:{block.name}>")
         exec(code, self.ns)
         fn = self.ns["__block"]
         fn.__repro_source__ = source

@@ -4,9 +4,12 @@ hash seeds."""
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,35 @@ def test_evaluate_firmware_report_shape():
         if flavour in ("opec", "aces"):
             assert outcome.switches > 0
             assert outcome.switch_cycles > 0
+
+
+def test_lane_machines_freed_by_reference_counting(monkeypatch,
+                                                   no_artifact_store):
+    """Once ``evaluate_firmware`` has classified its lanes, reference
+    counting alone frees every lane machine (1.2 MB of flash and SRAM
+    each): no device back-link or recorded traceback keeps one in a
+    cycle until the next full collection."""
+    machines = []
+    add = BatchRunner.add
+
+    def tracking_add(self, *args, **kwargs):
+        lane = add(self, *args, **kwargs)
+        machines.append(weakref.ref(lane.machine))
+        return lane
+
+    monkeypatch.setattr(BatchRunner, "add", tracking_add)
+    config = dataclasses.replace(SMALL, backends=("mpu", "pmp", "overlay"))
+    gc.collect()
+    gc.disable()
+    try:
+        report = evaluate_firmware(config, 0)
+        alive = [ref for ref in machines if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(machines) == 27  # 3 flavours x 3 backends x 3 lanes
+    assert alive == []
+    # Blocked lanes are the ones that recorded a terminal fault.
+    assert any(cell.outcome == "blocked" for cell in report.cells.values())
 
 
 def test_report_verdicts_pass():

@@ -1,5 +1,7 @@
 """Unit tests for the MPU model (§2.2 semantics)."""
 
+import dataclasses
+
 import pytest
 
 from repro.hw import (
@@ -39,6 +41,22 @@ class TestRegionValidation:
     def test_subregion_mask_range(self):
         with pytest.raises(ValueError):
             MPURegion(number=0, base=0, size=32, subregion_disable=256)
+
+    def test_regions_are_immutable(self):
+        region = MPURegion(number=1, base=0x20000000, size=0x400)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            region.unpriv = ACCESS_READWRITE
+
+    def test_equal_regions_hash_equal(self):
+        def make():
+            return MPURegion(number=4, base=0x40004400, size=0x400,
+                             priv=ACCESS_READWRITE, unpriv=ACCESS_READ,
+                             subregion_disable=0b10)
+
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash((a, None)) == hash((b, None))
+        assert a != dataclasses.replace(b, subregion_disable=0)
 
 
 class TestSubregions:

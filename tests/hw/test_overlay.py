@@ -5,10 +5,11 @@ import pytest
 from repro.hw.mpu import MPU, MPURegion
 from repro.hw.overlay import (
     OverlayProtection,
+    _overlay_table,
     compile_regions_to_overlay,
     use_overlay,
 )
-from repro.hw.pmp import PmpProtection
+from repro.hw.pmp import PmpProtection, _pmp_entries
 
 
 class TestCompilation:
@@ -104,6 +105,58 @@ class TestSemantics:
         overlay.restore(saved)
         assert overlay.allows(0x20000010, 4, False, False)
         assert not overlay.allows(0x20000010, 4, False, True)
+
+
+def _policy() -> list[MPURegion]:
+    """A fresh (equal, not identical) region set on every call."""
+    return [
+        MPURegion(number=0, base=0x08000000, size=0x100000,
+                  priv="RO", unpriv="RO", executable=True),
+        MPURegion(number=2, base=0x20000000, size=0x800,
+                  priv="RW", unpriv="RW", subregion_disable=0b00100000),
+        MPURegion(number=5, base=0x40004400, size=0x400,
+                  priv="RW", unpriv="RW"),
+    ]
+
+
+@pytest.mark.parametrize("make, memo, lowering", [
+    (OverlayProtection, _overlay_table,
+     lambda backend: (backend._starts, backend._perms)),
+    (PmpProtection, _pmp_entries,
+     lambda backend: tuple(e for e in backend.pmp.entries if e is not None)),
+], ids=["overlay", "pmp"])
+class TestLoweringMemo:
+    """Each distinct region set is lowered once per process; every
+    load still starts a new decision-cache epoch (backend contract
+    part 5)."""
+
+    def test_equal_sets_share_one_lowering(self, make, memo, lowering):
+        first, second = make(), make()
+        first.load_configuration(_policy())
+        before = memo.cache_info()
+        second.load_configuration(_policy())
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1,
+                                              before.misses)
+        ours, theirs = lowering(first), lowering(second)
+        assert ours and len(ours) == len(theirs)
+        assert all(a is b for a, b in zip(ours, theirs))
+
+    def test_memo_hit_still_starts_a_new_epoch(self, make, memo, lowering):
+        first, second = make(), make()
+        first.load_configuration(_policy())
+        for backend in (first, second):
+            backend.enabled = True
+            assert backend.allows(0x20000010, 4, False, True) is \
+                (backend is first)  # the other one is still empty
+            epoch, decisions = backend.epoch, backend._decisions
+            assert decisions
+            backend.load_configuration(_policy())
+            assert backend.epoch == epoch + 1
+            assert backend._decisions is not decisions
+            assert backend._decisions == {}
+            assert backend.allows(0x20000010, 4, False, True)
+            assert not backend.allows(0x20000500, 4, False, True)
 
 
 class TestCostModel:

@@ -107,6 +107,21 @@ class TestRegionCompilation:
         with pytest.raises(ValueError, match="PMP entries"):
             compile_regions_to_pmp(regions)
 
+    def test_entry_budget_enforced_on_every_load(self):
+        """The lowering memo never stores the overflow: each load of
+        the same over-budget set raises again and changes nothing."""
+        regions = [
+            MPURegion(number=i, base=0x20000000 + i * 0x1000, size=0x100,
+                      priv="RW", unpriv="RW", subregion_disable=0b01010101)
+            for i in range(8)
+        ]
+        adapter = PmpProtection()
+        epoch = adapter.epoch
+        for _ in range(3):
+            with pytest.raises(ValueError, match="PMP entries"):
+                adapter.load_configuration(regions)
+        assert adapter.epoch == epoch
+
     def test_disabled_region_compiles_to_nothing(self):
         """Regression: disabled regions used to compile into live PMP
         entries (``enabled`` was never consulted)."""

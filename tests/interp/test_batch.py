@@ -11,9 +11,10 @@ import pytest
 
 import repro.ir as ir
 from repro.hw import Machine, stm32f4_discovery
+from repro.hw.exceptions import HardFault
 from repro.image import build_vanilla_image
 from repro.interp import BatchRunner, Interpreter, batch_lanes
-from repro.interp.batch import DEFAULT_LANES, LaneFailure
+from repro.interp.batch import DEFAULT_LANES, LaneFailure, _drop_tracebacks
 from repro.interp.hooks import RuntimeHooks
 from repro.obs.metrics import MetricsRegistry
 from repro.ir import I32
@@ -184,6 +185,57 @@ class TestFaultIsolation:
             if lane.name != "buggy":
                 assert lane.error is None
                 assert lane.halt_code == sum(range(50))
+
+
+def _chain(error):
+    """Every exception on ``error``'s cause/context chain."""
+    seen, chain = [], [error]
+    while chain:
+        error = chain.pop()
+        if error is not None and all(error is not e for e in seen):
+            seen.append(error)
+            chain += (error.__cause__, error.__context__)
+    return seen
+
+
+def _raise(error):
+    raise error
+
+
+class TestRecordedErrorsHoldNoFrames:
+    """A recorded fault's traceback would reach ``BatchRunner.run``'s
+    frame, the runner, its lanes and the error again: a cycle that
+    keeps every finished machine alive until a full collection."""
+
+    def test_drop_tracebacks_walks_cause_and_context(self):
+        try:
+            try:
+                _raise(KeyError("context"))
+            except KeyError:
+                try:
+                    _raise(ValueError("cause"))
+                except ValueError as cause:
+                    raise HardFault("outer") from cause
+        except HardFault as error:
+            outer = error
+        chain = _chain(outer)
+        assert len(chain) == 3
+        assert all(e.__traceback__ is not None for e in chain)
+        _drop_tracebacks(outer)
+        assert all(e.__traceback__ is None for e in chain)
+
+    def test_fault_lane_drops_lane_failure_keeps(self):
+        board = stm32f4_discovery()
+        runner = BatchRunner()
+        runner.add(build_vanilla_image(_crash_module(), board),
+                   name="doomed")
+        runner.add(build_vanilla_image(_calling_module(), board),
+                   name="buggy", hooks=_ExplodingHooks())
+        doomed, buggy = runner.run().lanes
+        assert "unmapped" in str(doomed.error)
+        assert all(e.__traceback__ is None for e in _chain(doomed.error))
+        assert isinstance(buggy.error, LaneFailure)
+        assert buggy.error.original.__traceback__ is not None
 
 
 class TestMetricsMerge:

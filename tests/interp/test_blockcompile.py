@@ -23,7 +23,8 @@ from repro.interp import (
     block_compile_enabled,
     compile_block,
 )
-from repro.interp.blockcompile import wait_loop
+from repro.interp import blockcompile
+from repro.interp.blockcompile import CODE_MEMO_SIZE, _block_code, wait_loop
 from repro.ir import I32, VOID
 
 
@@ -154,6 +155,151 @@ class TestClosureCache:
         _run(module, True)
         entry = module.get_function("main").blocks[0]
         assert "frame.index" in entry._compiled.__repro_source__
+
+
+def _global_loop_module(name: str, init: int):
+    """Adds 0..19 onto a global's initial value: the generated source
+    depends only on the structure, never on ``name`` or ``init``."""
+    module = ir.Module(name)
+    seed = module.add_global("seed", I32, init)
+    _m, b = ir.define(module, "main", I32, [])
+    acc = b.alloca(I32)
+    b.store(b.load(seed), acc)
+    with b.for_range(0, 20) as load_i:
+        b.store(b.add(b.load(acc), load_i()), acc)
+    b.halt(b.load(acc))
+    return module
+
+
+def _named_module(fname: str, *, terminated: bool):
+    """One function ``fname``: a counting loop (``terminated``) or a
+    single block that falls off its end."""
+    module = ir.Module("named")
+    counter = module.add_global("counter", I32, 0)
+    function = ir.Function(fname, ir.FunctionType(I32, []))
+    module.add_function(function)
+    b = ir.IRBuilder(function)
+    b.position_at_end(function.add_block("entry"))
+    if terminated:
+        with b.for_range(0, 10_000):
+            b.store(b.add(b.load(counter), 1), counter)
+        b.halt(b.load(counter))
+    else:
+        b.store(b.add(b.load(counter), 1), counter)
+    return module
+
+
+def _fault_message(module, entry: str, block_compile: bool) -> str:
+    board = stm32f4_discovery()
+    image = build_vanilla_image(module, board)
+    machine = Machine(board)
+    image.initialize_memory(machine)
+    interp = Interpreter(machine, image, max_instructions=500,
+                         block_compile=block_compile)
+    with pytest.raises(MachineError) as excinfo:
+        interp.run(entry)
+    return f"{type(excinfo.value).__name__}: {excinfo.value}"
+
+
+class TestCodeMemo:
+    """Structurally identical blocks share one code object per process;
+    each still executes in its own namespace."""
+
+    def test_identical_blocks_in_two_modules_share_code(
+            self, no_artifact_store):
+        left = _global_loop_module("left", 5)
+        right = _global_loop_module("right", 1000)
+        lanes = []
+        for module in (left, right):
+            board = stm32f4_discovery()
+            image = build_vanilla_image(module, board)
+            machine = Machine(board)
+            image.initialize_memory(machine)
+            interp = Interpreter(machine, image, block_compile=True)
+            interp.start()
+            lanes.append((interp, module.get_function("main")))
+        # Interleave the two runs block by block: every register a
+        # block writes must belong to its own function.
+        running = list(lanes)
+        while running:
+            for interp, main in list(running):
+                if not interp.advance():
+                    running.remove((interp, main))
+                    continue
+                own = {id(v) for blk in main.blocks
+                       for v in blk.instructions}
+                for frame in interp.frames:
+                    assert {id(v) for v in frame.regs} <= own
+        assert [interp.halt_code for interp, _ in lanes] == \
+            [5 + 190, 1000 + 190]
+        pairs = list(zip(left.get_function("main").blocks,
+                         right.get_function("main").blocks))
+        for a, b in pairs:
+            assert callable(a._compiled) and callable(b._compiled)
+            assert a._compiled.__code__ is b._compiled.__code__
+            assert a._compiled.__repro_source__ is \
+                b._compiled.__repro_source__
+            assert a._compiled.__globals__ is not b._compiled.__globals__
+        # Each namespace resolves its own module's global.
+        seeds = [{v for v in fn.__globals__.values()
+                  if isinstance(v, ir.GlobalVariable)}
+                 for fn in (pairs[0][0]._compiled, pairs[0][1]._compiled)]
+        assert seeds == [{left.get_global("seed")},
+                         {right.get_global("seed")}]
+
+    @pytest.mark.parametrize("terminated", [True, False],
+                             ids=["budget", "fell-off"])
+    def test_function_name_keeps_code_apart(self, terminated,
+                                            no_artifact_store):
+        modules = {name: _named_module(name, terminated=terminated)
+                   for name in ("spin_a", "spin_b")}
+        for name, module in modules.items():
+            compiled = _fault_message(module, name, True)
+            assert compiled == _fault_message(module, name, False)
+            assert f"@{name}" in compiled
+        codes = [[blk._compiled.__code__
+                  for blk in module.get_function(name).blocks
+                  if callable(getattr(blk, "_compiled", None))]
+                 for name, module in modules.items()]
+        assert codes[0] and codes[1]
+        assert not {id(c) for c in codes[0]} & {id(c) for c in codes[1]}
+        for name, module_codes in zip(modules, codes):
+            assert all(c.co_filename.startswith(f"<block @{name}:")
+                       for c in module_codes)
+
+    def test_codegen_failure_is_not_memoised(self, monkeypatch):
+        module = _named_module("broken_halt", terminated=True)
+        block = module.get_function("broken_halt").blocks[-1]
+        monkeypatch.setattr(
+            blockcompile._BlockCompiler, "_emit_halt",
+            lambda self, i, inst: blockcompile._Emitted(
+                ["return ("], transfers=True))
+        before = _block_code.cache_info()
+        assert compile_block(block) is None
+        assert compile_block(block) is None
+        after = _block_code.cache_info()
+        # Both attempts really compiled (two misses), neither stored.
+        assert after.misses - before.misses == 2
+        assert after.currsize == before.currsize
+
+    def test_memo_stays_within_its_bound(self):
+        module = ir.Module("many")
+        for k in range(CODE_MEMO_SIZE + 8):
+            _f, b = ir.define(module, f"const{k}", I32, [])
+            b.halt(k)
+        for function in module.defined_functions():
+            assert callable(compile_block(function.blocks[0]))
+        info = _block_code.cache_info()
+        assert info.maxsize == CODE_MEMO_SIZE
+        assert info.currsize <= CODE_MEMO_SIZE
+
+    def test_generated_filename_names_the_block(self, no_artifact_store):
+        """Profilers attribute generated code by this filename prefix."""
+        module = _loop_module(10)
+        _run(module, True)
+        for block in module.get_function("main").blocks:
+            assert block._compiled.__code__.co_filename == \
+                f"<block @main:{block.name}>"
 
 
 class TestEquivalence:

@@ -9,6 +9,12 @@ each of those knobs has had (or nearly had) a divergence bug — disabled
 regions compiled into live PMP entries; ``privdefena`` assigned but
 never consulted on the PMP no-match path.
 
+Every backend loads each random set twice — region by region, then
+whole — so the second load is served by the lowering memo (PMP and
+overlay compile each distinct set once per process) and must still
+start a new epoch, give the same verdicts, and, for a set over the
+PMP entry budget, raise again.
+
 Privileged semantics legitimately differ on PMP (M-mode bypasses
 unlocked entries where the MPU consults ``priv`` permissions), so the
 three-way property quantifies over unprivileged accesses only; the
@@ -16,6 +22,7 @@ overlay claims *exact* MPU semantics and is held to them at both
 privilege levels.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.mpu import MPU, MPURegion, align_base
@@ -45,6 +52,18 @@ region_sets = st.lists(mpu_regions(), max_size=5,
                        unique_by=lambda r: r.number)
 
 
+def _load_twice(backend, region_list) -> None:
+    """Install ``region_list`` region by region, then reload it whole:
+    the reload is the same region set, so it hits the lowering memo,
+    and it must still start a new configuration epoch."""
+    for region in region_list:
+        backend.set_region(region)
+    epoch = backend.epoch
+    backend.load_configuration(list(region_list))
+    assert backend.epoch == epoch + 1
+    assert backend._decisions == {}
+
+
 @given(region_sets, addresses, probe_sizes, st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_all_backends_agree_for_unprivileged(region_list, address, size,
@@ -54,16 +73,17 @@ def test_all_backends_agree_for_unprivileged(region_list, address, size,
     overlay.privdefena = privdefena
     pmp = PmpProtection()
     pmp.privdefena = privdefena
-    for region in region_list:
-        mpu.set_region(region)
-        overlay.set_region(region)
+    _load_twice(mpu, region_list)
+    _load_twice(overlay, region_list)
     overlay.enabled = True
     backends = [mpu, overlay]
     try:
-        for region in region_list:
-            pmp.set_region(region)
+        _load_twice(pmp, region_list)
     except ValueError:
-        pass  # over the 16-entry budget: reported loudly, not silently
+        # Over the 16-entry budget: reported loudly, on every load.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="PMP entries"):
+                pmp.load_configuration(list(region_list))
     else:
         pmp.enabled = True
         backends.append(pmp)
@@ -82,9 +102,8 @@ def test_overlay_matches_mpu_exactly(region_list, address, size,
     mpu = MPU(enabled=True, privdefena=privdefena)
     overlay = OverlayProtection()
     overlay.privdefena = privdefena
-    for region in region_list:
-        mpu.set_region(region)
-        overlay.set_region(region)
+    _load_twice(mpu, region_list)
+    _load_twice(overlay, region_list)
     overlay.enabled = True
     assert overlay.allows(address, size, privileged, write) == \
         mpu.allows(address, size, privileged, write)
@@ -101,8 +120,7 @@ def test_decision_caches_never_change_verdicts(region_list, probes):
                  PmpProtection):
         backend = make()
         try:
-            for region in region_list:
-                backend.set_region(region)
+            _load_twice(backend, region_list)
         except ValueError:
             return
         backend.enabled = True
