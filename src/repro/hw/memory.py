@@ -29,16 +29,17 @@ class MMIODevice(Protocol):
 
 
 class Region:
-    """A contiguous mapped address range."""
+    """A contiguous mapped address range.
+
+    Regions never move or resize, so ``end`` is a plain attribute
+    rather than a property: the memory map reads it on every access.
+    """
 
     def __init__(self, name: str, base: int, size: int):
         self.name = name
         self.base = base
         self.size = size
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
+        self.end = base + size
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end

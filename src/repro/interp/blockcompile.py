@@ -28,13 +28,24 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
   costs, access sizes/masks, GEP strides and struct offsets, branch
   targets.
 
-* **Epoch-scoped access fast path.**  Loads/stores inline the exact
-  body of ``Machine.load``/``store`` but arbitrate through the
-  backend's :meth:`~repro.hw.backend.EnforcementBackend.fast_allows`
-  specialisation, validated against the decision-cache epoch at block
-  entry and re-validated after every fault retry (the only point
-  inside a block where the monitor can reconfigure enforcement; the
-  SVC/call/return seams leave the block entirely).
+* **Inline SRAM hit, shared cold paths.**  A block that touches
+  memory hoists the epoch-scoped arbitration callable (the backend's
+  :meth:`~repro.hw.backend.EnforcementBackend.fast_allows`, validated
+  against the decision-cache epoch by :func:`_fast_allows`) and
+  ``machine.sram``'s base, data and size at entry.  A load or store
+  counts itself, reads ``machine.privileged`` and, when the access
+  lies wholly inside SRAM and ``allows`` it, slices the bytearray
+  exactly as ``RamRegion.read``/``write`` do.  Everything else —
+  flash, MMIO, the PPB, unmapped addresses, an access straddling the
+  SRAM end, a denied access — is one call to :func:`_load_other` /
+  :func:`_store_other`, which keep ``Machine.load``/``store``'s order
+  and the fault retry, then rebind the fast path (a retry is the only
+  point inside a block where the monitor can reconfigure enforcement;
+  the SVC/call/return seams leave the block entirely).  Every other
+  cold escape — IRQ suspension, budget, undefined register, stack
+  overflow, ``unreachable``, falling off the block — is one helper
+  call as well; the helpers flush the closure's locals and build any
+  message at raise time from ``frame.function`` and ``frame.block``.
 
 * **Single-step fallback.**  The compiled function returns to the
   interpreter loop — with ``frame.index`` and
@@ -51,13 +62,19 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
   does not specialise (runtime struct indices, unknown ops) delegate
   to ``Interpreter._execute`` mid-block.
 
-* **One code object per distinct source.**  Generated source is a
-  pure function of the block's structure (bindings are numbered, not
-  named after the objects they hold), so structurally identical
-  blocks — the same helper linked into many firmwares — share one
-  code object from a bounded per-process memo (:func:`_block_code`).
-  Each block still ``exec``s it into its own namespace, so it binds
-  its own operands and globals.
+* **One compile per distinct source.**  Generated source is a pure
+  function of the block's structure: bindings are numbered, not named
+  after the objects they hold, and no function or block name appears
+  in it.  Structurally identical blocks — the same helper linked into
+  many firmwares, the same loop shape in two functions — cost one
+  ``compile()`` from a bounded per-process memo (:func:`_source_code`).
+  :func:`_block_code` then gives each closure's code its
+  ``<block @fn:block>`` filename, memoised per source and filename so
+  identical fn:block pairs share one code object; profilers and
+  tracebacks read that name.  Each block still ``exec``s its code into
+  its own namespace, so it binds its own operands and globals; the
+  process-wide names every namespace shares come from one table
+  (:func:`static_bindings`).
 
 * **Device-wait fast-forward.**  A block heading a device-wait loop
   (:func:`wait_loop`) calls ``Interpreter._wait_skip`` on its
@@ -72,8 +89,9 @@ unknown spellings raise loudly, matching ``REPRO_TRACE``.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from functools import cache, lru_cache
+from types import CodeType, MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from ..hw.board import PPB_BASE as _PPB_BASE, PPB_END as _PPB_END
 from ..hw.exceptions import BusFault, HardFault, MemManageFault
@@ -145,18 +163,167 @@ def block_compile_enabled() -> bool:
     )
 
 
-def _undef(interp, frame, inst) -> None:
-    """Cold path: a register operand was missing (KeyError on fetch).
+# -- cold paths shared by every generated closure -------------------------
+#
+# Generated code calls these with its locals ``interp, frame, n, index,
+# block``: ``n`` is the closure's running instruction count, ``index``
+# the instruction executing, and ``block`` None in a block closure or,
+# in a trace, the chain block that instruction belongs to.
+
+
+def _sync(interp, frame, n: int, index: int, block) -> None:
+    """Store a closure's locals back before it leaves: the count, the
+    executing block (traces span blocks) and the instruction index."""
+    interp.instructions_executed = n
+    if block is not None:
+        frame.block = block
+    frame.index = index
+
+
+def _budget(interp, frame, n: int, index: int, block) -> None:
+    """The instruction budget ran out: the reference's limit fault."""
+    from .interpreter import ExecutionLimitExceeded  # no module cycle
+
+    _sync(interp, frame, n, index, block)
+    raise ExecutionLimitExceeded(
+        f"instruction budget exceeded in @{frame.function.name}")
+
+
+def _undef(interp, frame, n: int, index: int, block, inst) -> None:
+    """A register operand was missing (KeyError on fetch).
 
     Generated code performs all register fetches before any side
     effect, so the instruction can be replayed through its single-step
     handler, which raises the canonical "use of undefined value"
     HardFault with the exact message single-step execution produces.
     """
+    _sync(interp, frame, n, index, block)
     interp._execute(frame, inst)
     # The replay must raise (the register really is absent); reaching
     # here means the compiled fetch and the handler disagree.
     raise HardFault(f"operand KeyError replaying {inst!r}")
+
+
+def _stack_overflow(interp, frame, n: int, index: int, block,
+                    sp: int) -> None:
+    """An ``alloca`` moved the stack pointer below the stack limit."""
+    _sync(interp, frame, n, index, block)
+    raise HardFault(
+        f"stack overflow in @{frame.function.name} (sp=0x{sp:08X})")
+
+
+def _unreachable(interp, frame, n: int, index: int, block) -> None:
+    _sync(interp, frame, n, index, block)
+    raise HardFault(f"unreachable executed in @{frame.function.name}")
+
+
+def _fell_off(interp, frame, n: int, index: int, block) -> None:
+    """No terminator transferred: mirror ``step()``'s boundary order —
+    deliver a pending IRQ first, then fault."""
+    _sync(interp, frame, n, index, block)
+    if interp.machine.pending_irqs:
+        return
+    raise HardFault(
+        f"fell off block {frame.block.name} in @{frame.function.name}")
+
+
+def _fast_allows(machine):
+    """The backend's arbitration callable for its current epoch.
+
+    Reuses the machine's bound ``fast_allows`` while ``(backend
+    identity, epoch)`` still match, and rebinds it otherwise.
+    """
+    enf = machine.enforcement
+    if enf is machine._fp_backend and enf.epoch == machine._fp_epoch:
+        return machine._fp_allows
+    return machine._refresh_fast_path()
+
+
+def _load_other(interp, frame, n: int, index: int, block, address: int,
+                size: int, privileged: bool, allows):
+    """Every load the inline SRAM hit does not serve.
+
+    ``Machine.load`` after its load count, in its order: the
+    unprivileged-PPB BusFault, arbitration, the memory map (flushing
+    before an unmapped access's HardFault escapes).  A fault is
+    counted, flushed and retried through the monitor exactly like
+    single-step.  Returns the masked value and the arbitration
+    callable, rebound after a retry (the monitor may have started a
+    new epoch).
+    """
+    machine = interp.machine
+    try:
+        if not privileged and _PPB_BASE <= address < _PPB_END:
+            machine._n_bus_faults.value += 1
+            raise BusFault(address, size, False, value=0, is_ppb=True)
+        if allows(address, size, privileged, False):
+            value = machine.memory.read(address, size)
+        else:
+            machine._n_memmanage.value += 1
+            raise MemManageFault(address, size, False, value=0)
+    except (MemManageFault, BusFault) as fault:
+        _sync(interp, frame, n, index, block)
+        value = interp._retry_access(
+            lambda: machine.load(address, size), fault)
+        allows = _fast_allows(machine)
+    except Exception:
+        _sync(interp, frame, n, index, block)
+        raise
+    return value & ((1 << (size * 8)) - 1), allows
+
+
+def _store_other(interp, frame, n: int, index: int, block, address: int,
+                 size: int, value: int, privileged: bool, allows):
+    """Every store the inline SRAM hit does not serve; the store
+    counterpart of :func:`_load_other`.  Returns the arbitration
+    callable, rebound after a retry."""
+    machine = interp.machine
+    try:
+        if not privileged and _PPB_BASE <= address < _PPB_END:
+            machine._n_bus_faults.value += 1
+            raise BusFault(address, size, True, value=value, is_ppb=True)
+        if allows(address, size, privileged, True):
+            machine.memory.write(address, size, value)
+        else:
+            machine._n_memmanage.value += 1
+            raise MemManageFault(address, size, True, value=value)
+    except (MemManageFault, BusFault) as fault:
+        _sync(interp, frame, n, index, block)
+        interp._retry_access(
+            lambda: machine.store(address, size, value) or 0, fault)
+        allows = _fast_allows(machine)
+    except Exception:
+        _sync(interp, frame, n, index, block)
+        raise
+    return allows
+
+
+@cache
+def static_bindings() -> Mapping[str, object]:
+    """The process-wide names every generated namespace binds.
+
+    The cold-path helpers above plus the interpreter's arithmetic and
+    ``HardFault``: the block and trace compilers add them to each
+    namespace, and the closure cache skips them when it serialises a
+    closure and re-adds them when it loads one.  Built on first use,
+    since the interpreter imports this module.
+    """
+    from .interpreter import _to_signed, _trunc_div  # no module cycle
+
+    return MappingProxyType({
+        "HardFault": HardFault,
+        "_ts": _to_signed,
+        "_tdiv": _trunc_div,
+        "_sync": _sync,
+        "_budget": _budget,
+        "_undef": _undef,
+        "_stack_overflow": _stack_overflow,
+        "_unreachable": _unreachable,
+        "_fell_off": _fell_off,
+        "_fast_allows": _fast_allows,
+        "_load_other": _load_other,
+        "_store_other": _store_other,
+    })
 
 
 def _fold_signed(value: int, bits: int) -> int:
@@ -166,15 +333,31 @@ def _fold_signed(value: int, bits: int) -> int:
 
 
 @lru_cache(maxsize=CODE_MEMO_SIZE)
-def _block_code(source: str, filename: str):
-    """``(source, code)`` for one generated block, compiled on a miss.
+def _source_code(source: str):
+    """``(source, code)`` for one generated source, compiled on a miss.
 
-    The key is everything ``compile`` reads, so a hit is the code
-    object a fresh compile would build; the memo's ``source`` string
-    is returned too, so blocks sharing code share one string.  A
+    Sources are name-free, so one entry serves every function and
+    block with the same structure.  The memo's ``source`` string is
+    returned too, so closures sharing code share one string.  A
     failing compile raises and is not memoised.
     """
-    return source, compile(source, filename, "exec")
+    return source, compile(source, "<generated>", "exec")
+
+
+def _renamed(code: CodeType, filename: str) -> CodeType:
+    """``code`` with ``filename`` on it and on every nested code."""
+    return code.replace(co_filename=filename, co_consts=tuple(
+        _renamed(const, filename) if isinstance(const, CodeType) else const
+        for const in code.co_consts))
+
+
+@lru_cache(maxsize=CODE_MEMO_SIZE)
+def _block_code(source: str, filename: str):
+    """``(source, code)``: the shared compile of ``source`` renamed to
+    ``filename``, so identical (source, filename) pairs share one code
+    object.  A failing compile raises and is not memoised."""
+    source, code = _source_code(source)
+    return source, _renamed(code, filename)
 
 
 def _inst_cost(inst: Instruction) -> int:
@@ -350,28 +533,35 @@ class _BlockCompiler:
 
     # -- shared snippets ----------------------------------------------
 
-    def _flush(self, i: int) -> list[str]:
-        """Statements syncing interpreter state before any escape.
+    def _where(self, i: int) -> str:
+        """The ``interp, frame, n, index, block`` arguments locating
+        instruction ``i`` for the cold-path helpers.
 
-        Every emitter routes its escape paths through here (and
-        :meth:`_flush_in` inside ``try``/``if`` bodies), so a subclass
-        compiling multi-block traces can extend the flush — e.g. also
-        restoring ``frame.block`` — without re-emitting the handlers.
+        Every emitter's escape paths pass these, so a subclass
+        compiling multi-block traces overrides only this to make each
+        escape restore ``frame.block`` as well.
         """
-        return ["interp.instructions_executed = n",
-                f"frame.index = {i}"]
+        return f"interp, frame, n, {i}, None"
 
-    def _flush_in(self, i: int, depth: int = 1) -> list[str]:
-        """The flush statements indented ``depth`` levels."""
-        return ["    " * depth + stmt for stmt in self._flush(i)]
+    def _flush(self, i: int) -> list[str]:
+        """The statement syncing interpreter state before an escape."""
+        return [f"_sync({self._where(i)})"]
 
-    _FP_BIND = [
-        "enf = machine.enforcement",
-        "if enf is machine._fp_backend and enf.epoch == machine._fp_epoch:",
-        "    allows = machine._fp_allows",
-        "else:",
-        "    allows = machine._refresh_fast_path()",
-    ]
+    def _mem_hoists(self, insts) -> list[str]:
+        """Entry bindings the memory emitters read, for ``insts``."""
+        loads = any(isinstance(inst, Load) for inst in insts)
+        stores = any(isinstance(inst, Store) for inst in insts)
+        if not (loads or stores):
+            return []
+        lines = ["allows = _fast_allows(machine)"]
+        if loads:
+            lines.append("n_loads = machine._n_loads")
+        if stores:
+            lines.append("n_stores = machine._n_stores")
+        return lines + ["sram = machine.sram",
+                        "sb = sram.base",
+                        "sd = sram.data",
+                        "ss = sram.size"]
 
     # -- per-instruction emitters -------------------------------------
     #
@@ -585,45 +775,28 @@ class _BlockCompiler:
 
     def _emit_alloca(self, i: int, inst: Alloca) -> _Emitted:
         dst = self._bind(inst, "V")
-        msg = f"stack overflow in @{self.fname} (sp=0x%08X)"
         return _Emitted([
             f"interp.sp = __sp = (interp.sp - {inst.byte_size}) & -4",
             "if __sp < interp.image.stack_limit:",
-        ] + self._flush_in(i) + [
-            f"    raise HardFault({msg!r} % __sp)",
+            f"    _stack_overflow({self._where(i)}, __sp)",
             f"regs[{dst}] = __sp",
         ])
 
     def _emit_load(self, i: int, inst: Load) -> _Emitted:
         addr, guarded = self._operand(inst.pointer)
         size = inst.type.size
-        mask = (1 << (size * 8)) - 1
         dst = self._bind(inst, "V")
         fetch = [f"__a = {addr}"]
         body = [
             "n_loads.value += 1",
             "__p = machine.privileged",
-            "try:",
-            f"    if not __p and {_PPB_BASE} <= __a < {_PPB_END}:",
-            "        n_bus.value += 1",
-            f"        raise BusFault(__a, {size}, False, value=0,"
-            f" is_ppb=True)",
-            f"    if allows(__a, {size}, __p, False):",
-            f"        __v = mem_read(__a, {size})",
-            "    else:",
-            "        n_mm.value += 1",
-            f"        raise MemManageFault(__a, {size}, False, value=0)",
-            "except (MemManageFault, BusFault) as __f:",
-        ] + self._flush_in(i) + [
-            f"    __v = interp._retry_access("
-            f"lambda __a=__a: machine.load(__a, {size}), __f)",
-        ] + ["    " + line for line in self._FP_BIND] + [
-            # Unmapped accesses (and device models) raise HardFault
-            # straight out of mem_read: flush before it escapes.
-            "except Exception:",
-        ] + self._flush_in(i) + [
-            "    raise",
-            f"regs[{dst}] = __v & {mask}",
+            "__o = __a - sb",
+            f"if 0 <= __o <= ss - {size} and allows(__a, {size}, __p, False):",
+            f"    regs[{dst}] = int.from_bytes(sd[__o:__o + {size}],"
+            f" 'little')",
+            "else:",
+            f"    regs[{dst}], allows = _load_other({self._where(i)},"
+            f" __a, {size}, __p, allows)",
         ]
         if guarded:
             return _Emitted(body, fetch=fetch)
@@ -633,32 +806,19 @@ class _BlockCompiler:
         addr, ga = self._operand(inst.pointer)
         value, gv = self._operand(inst.value)
         size = inst.value.type.size
+        mask = (1 << (size * 8)) - 1
         # Reference order: pointer first, then value.
         fetch = [f"__a = {addr}", f"__v = {value}"]
         body = [
             "n_stores.value += 1",
             "__p = machine.privileged",
-            "try:",
-            f"    if not __p and {_PPB_BASE} <= __a < {_PPB_END}:",
-            "        n_bus.value += 1",
-            f"        raise BusFault(__a, {size}, True, value=__v,"
-            f" is_ppb=True)",
-            f"    if allows(__a, {size}, __p, True):",
-            f"        mem_write(__a, {size}, __v)",
-            "    else:",
-            "        n_mm.value += 1",
-            f"        raise MemManageFault(__a, {size}, True, value=__v)",
-            "except (MemManageFault, BusFault) as __f:",
-        ] + self._flush_in(i) + [
-            f"    interp._retry_access("
-            f"lambda __a=__a, __v=__v: machine.store(__a, {size}, __v)"
-            f" or 0, __f)",
-        ] + ["    " + line for line in self._FP_BIND] + [
-            # Unmapped accesses (and device models) raise HardFault
-            # straight out of mem_write: flush before it escapes.
-            "except Exception:",
-        ] + self._flush_in(i) + [
-            "    raise",
+            "__o = __a - sb",
+            f"if 0 <= __o <= ss - {size} and allows(__a, {size}, __p, True):",
+            f"    sd[__o:__o + {size}] = (__v & {mask}).to_bytes({size},"
+            f" 'little')",
+            "else:",
+            f"    allows = _store_other({self._where(i)}, __a, {size}, __v,"
+            f" __p, allows)",
         ]
         if ga or gv:
             return _Emitted(body, fetch=fetch)
@@ -701,7 +861,7 @@ class _BlockCompiler:
             f"__t = {target}",
             "__c = interp.image.function_at(__t)",
             "if __c is None:",
-        ] + self._flush_in(i) + [
+            "    " + self._flush(i)[0],
             "    raise HardFault("
             "'icall to non-function address 0x%08X' % __t)",
             f"__args = [{', '.join(exprs)}]",
@@ -799,28 +959,17 @@ class _BlockCompiler:
         ], transfers=True)
 
     def _emit_unreachable(self, i: int, inst: Unreachable) -> _Emitted:
-        msg = f"unreachable executed in @{self.fname}"
-        return _Emitted(self._flush(i) + [f"raise HardFault({msg!r})"],
+        return _Emitted([f"_unreachable({self._where(i)})"],
                         transfers=True)
 
     # -- assembly ------------------------------------------------------
 
     def compile(self) -> Callable:
-        from .interpreter import (  # runtime import: no module cycle
-            ExecutionLimitExceeded,
-            _to_signed,
-            _trunc_div,
-        )
-
         block = self.block
         insts = block.instructions
         self._wait = wait_loop(block)
         emitted = [self._emit(i, inst) for i, inst in enumerate(insts)]
         costs = [_inst_cost(inst) for inst in insts]
-        has_mem = any(isinstance(inst, (Load, Store)) for inst in insts)
-
-        budget_msg = f"instruction budget exceeded in @{self.fname}"
-        fell_msg = f"fell off block {block.name} in @{self.fname}"
 
         lines = ["def __block(interp, frame, machine, start):"]
 
@@ -831,15 +980,8 @@ class _BlockCompiler:
         w(1, "pending = machine.pending_irqs")
         w(1, "n = interp.instructions_executed")
         w(1, "maxi = interp.max_instructions")
-        if has_mem:
-            w(1, "mem_read = machine.memory.read")
-            w(1, "mem_write = machine.memory.write")
-            w(1, "n_loads = machine._n_loads")
-            w(1, "n_stores = machine._n_stores")
-            w(1, "n_bus = machine._n_bus_faults")
-            w(1, "n_mm = machine._n_memmanage")
-            for line in self._FP_BIND:
-                w(1, line)
+        for line in self._mem_hoists(insts):
+            w(1, line)
 
         # Tier 2: a block of pure register compute plus its Br/Jump
         # terminator executes with one batched cycle charge and one
@@ -876,14 +1018,10 @@ class _BlockCompiler:
         for i, (inst, e, cost) in enumerate(zip(insts, emitted, costs)):
             w(1, f"if start <= {i}:")
             w(2, "if pending:")
-            w(3, "interp.instructions_executed = n")
-            w(3, f"frame.index = {i}")
-            w(3, "return")
+            w(3, f"return _sync({self._where(i)})")
             w(2, "n += 1")
             w(2, "if n > maxi:")
-            w(3, "interp.instructions_executed = n")
-            w(3, f"frame.index = {i}")
-            w(3, f"raise ExecutionLimitExceeded({budget_msg!r})")
+            w(3, f"_budget({self._where(i)})")
             w(2, f"machine.cycles += {cost}")
             w(2, "if machine._systick_armed "
                  "and machine.cycles >= machine._systick_next:")
@@ -893,34 +1031,18 @@ class _BlockCompiler:
                 for stmt in e.fetch:
                     w(3, stmt)
                 w(2, "except KeyError:")
-                w(3, "interp.instructions_executed = n")
-                w(3, f"frame.index = {i}")
-                w(3, f"_undef(interp, frame, {self._bind(inst, 'I')})")
+                w(3, f"_undef({self._where(i)}, {self._bind(inst, 'I')})")
                 for stmt in e.body:
                     w(2, stmt)
             else:
                 for stmt in e.body:
                     w(2, stmt)
 
-        # Fell off the block (no terminator transferred): mirror
-        # step()'s boundary order — deliver a pending IRQ first, then
-        # fault.
-        w(1, "interp.instructions_executed = n")
-        w(1, f"frame.index = {len(insts)}")
-        w(1, "if pending:")
-        w(2, "return")
-        w(1, f"raise HardFault({fell_msg!r})")
+        # Fell off the block: no terminator transferred.
+        w(1, f"return _fell_off({self._where(len(insts))})")
 
         source = "\n".join(lines) + "\n"
-        self.ns.update({
-            "BusFault": BusFault,
-            "MemManageFault": MemManageFault,
-            "HardFault": HardFault,
-            "ExecutionLimitExceeded": ExecutionLimitExceeded,
-            "_ts": _to_signed,
-            "_tdiv": _trunc_div,
-            "_undef": _undef,
-        })
+        self.ns.update(static_bindings())
         source, code = _block_code(
             source, f"<block @{self.fname}:{block.name}>")
         exec(code, self.ns)

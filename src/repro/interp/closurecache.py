@@ -12,7 +12,8 @@ closure — never the closure object itself:
 * a locator per namespace binding — instructions, parameters, blocks,
   globals and functions are named by ``(function name, indexes)``
   within the module, and re-resolved against the freshly built module
-  on load.  Static bindings (exception types, helpers) are re-added
+  on load.  Static bindings (the block compiler's
+  :func:`~repro.interp.blockcompile.static_bindings`) are re-added
   from the live tree.
 
 Entries are keyed by the module digest and live inside the store's
@@ -38,18 +39,15 @@ from typing import Any, Optional
 
 from ..cache.digest import closures_digest
 from ..cache.store import active_store
-from ..hw.exceptions import BusFault, HardFault, MemManageFault
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
 from ..ir.values import GlobalVariable, Parameter
+from .blockcompile import static_bindings
 
-#: Namespace entries that are process state, not module references —
-#: skipped on serialisation and re-bound from the live tree on load.
-_STATIC_NAMES = frozenset({
-    "BusFault", "MemManageFault", "HardFault", "ExecutionLimitExceeded",
-    "_ts", "_tdiv", "_undef", "__builtins__", "__block", "__trace",
-})
+#: Namespace entries besides :func:`static_bindings` that are not
+#: module references: what ``exec`` itself leaves behind.
+_EXEC_NAMES = frozenset({"__builtins__", "__block", "__trace"})
 
 _MISSING = object()
 
@@ -74,23 +72,7 @@ class _CacheState:
 
 
 def _static_ns() -> dict:
-    from .blockcompile import _undef  # runtime import: no module cycle
-    from .interpreter import (
-        ExecutionLimitExceeded,
-        _to_signed,
-        _trunc_div,
-    )
-
-    return {
-        "BusFault": BusFault,
-        "MemManageFault": MemManageFault,
-        "HardFault": HardFault,
-        "ExecutionLimitExceeded": ExecutionLimitExceeded,
-        "_ts": _to_signed,
-        "_tdiv": _trunc_div,
-        "_undef": _undef,
-        "__builtins__": builtins,
-    }
+    return {**static_bindings(), "__builtins__": builtins}
 
 
 # -- locators ------------------------------------------------------------
@@ -153,9 +135,10 @@ def _decode_binding(kind: str, locator, module: Module) -> Any:
 
 
 def _encode_closure(fn, home: Function) -> dict:
+    static = static_bindings()
     bindings = []
     for name, value in fn.__globals__.items():
-        if name in _STATIC_NAMES:
+        if name in static or name in _EXEC_NAMES:
             continue
         bindings.append(_encode_binding(name, value, home))
     return {

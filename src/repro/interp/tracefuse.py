@@ -20,20 +20,22 @@ Semantics are the block compiler's, batched harder:
   disarmed, and the whole iteration inside the instruction budget —
   and pure ops can change none of those.  Loads/stores are *sync
   points*: the batched charge for the preceding pure run (plus the
-  memory op itself) commits first, then the access runs through the
-  identical ``fast_allows``/PPB/fault-retry body the block compiler
-  emits, and afterwards the trace suspends if the access pended an IRQ
-  or armed SysTick.
+  memory op itself) commits first, then the access runs the block
+  compiler's code — the inline SRAM hit, or the shared
+  ``_load_other``/``_store_other`` helper with its PPB check and fault
+  retry — and afterwards the trace suspends if the access pended an
+  IRQ or armed SysTick.
 
 * **Fall back exactly like a block.**  Every escape (pending IRQ,
   SysTick armed, budget, fault, KeyError on an undefined register)
   flushes ``interp.instructions_executed``, ``frame.block`` *and*
-  ``frame.index`` — traces span blocks, so the flush is three stores
-  instead of the block compiler's two — and returns to the dispatch
-  loop, which resumes on the per-block (or single-step) tier.  A
-  pure-run KeyError rolls back to the start of its uncommitted
-  segment; the per-block replay then reports the canonical "use of
-  undefined value" HardFault.
+  ``frame.index`` — traces span blocks, so they pass the executing
+  block to the block compiler's shared cold-path helpers, which the
+  block compiler's own escapes call with ``None`` — and returns to the
+  dispatch loop, which resumes on the per-block (or single-step)
+  tier.  A pure-run KeyError rolls back to the start of its
+  uncommitted segment; the per-block replay then reports the
+  canonical "use of undefined value" HardFault.
 
 * **Progress protocol.**  The closure returns 1 when it committed any
   state and 0 when it bailed before executing anything (so the
@@ -55,7 +57,13 @@ from typing import Callable, Optional
 from ..ir.function import BasicBlock
 from ..ir.instructions import Alloca, Br, Jump, Load, Store
 from ..ir.values import Constant
-from .blockcompile import _BlockCompiler, _inst_cost, wait_loop
+from .blockcompile import (
+    _BlockCompiler,
+    _block_code,
+    _inst_cost,
+    static_bindings,
+    wait_loop,
+)
 
 #: Accepted ``REPRO_TRACEFUSE`` spellings.  Anything else raises.
 #: Unset/empty means **on** — trace fusion is the default mode.
@@ -156,10 +164,10 @@ def _detect_chain(head: BasicBlock) -> Optional[list[BasicBlock]]:
 class _TraceCompiler(_BlockCompiler):
     """Emits and ``exec``s the fused-loop source for one chain.
 
-    Reuses every per-instruction emitter of the block compiler;
-    overriding :meth:`_flush` makes each emitted escape restore
-    ``frame.block`` as well, since inside a trace the executing block
-    is not the one the frame was entered on.
+    Reuses every per-instruction emitter of the block compiler and its
+    cold-path helpers; overriding :meth:`_where` makes each emitted
+    escape restore ``frame.block`` as well, since inside a trace the
+    executing block is not the one the frame was entered on.
     """
 
     def __init__(self, chain: list[BasicBlock]):
@@ -167,26 +175,15 @@ class _TraceCompiler(_BlockCompiler):
         self.chain = chain
         self._cur_block = chain[0]
 
-    def _flush(self, i: int) -> list[str]:
-        return ["interp.instructions_executed = n",
-                f"frame.block = {self._bind(self._cur_block, 'B')}",
-                f"frame.index = {i}"]
+    def _where(self, i: int) -> str:
+        return (f"interp, frame, n, {i}, "
+                f"{self._bind(self._cur_block, 'B')}")
 
     def compile(self) -> Callable:
-        from .blockcompile import _undef
-        from .interpreter import (  # runtime import: no module cycle
-            ExecutionLimitExceeded,
-            _to_signed,
-            _trunc_div,
-        )
-        from ..hw.exceptions import BusFault, HardFault, MemManageFault
-
         chain = self.chain
         head = chain[0]
         head_name = self._bind(head, "B")
         total = sum(len(b.instructions) for b in chain)
-        has_mem = any(isinstance(inst, (Load, Store))
-                      for b in chain for inst in b.instructions)
 
         lines = ["def __trace(interp, frame, machine):"]
 
@@ -197,15 +194,9 @@ class _TraceCompiler(_BlockCompiler):
         w(1, "pending = machine.pending_irqs")
         w(1, "n = interp.instructions_executed")
         w(1, "maxi = interp.max_instructions")
-        if has_mem:
-            w(1, "mem_read = machine.memory.read")
-            w(1, "mem_write = machine.memory.write")
-            w(1, "n_loads = machine._n_loads")
-            w(1, "n_stores = machine._n_stores")
-            w(1, "n_bus = machine._n_bus_faults")
-            w(1, "n_mm = machine._n_memmanage")
-            for line in self._FP_BIND:
-                w(1, line)
+        for line in self._mem_hoists(
+                [inst for b in chain for inst in b.instructions]):
+            w(1, line)
         w(1, "prog = 0")
         w(1, "while True:")
         # One guard per iteration: the whole iteration must run with
@@ -213,9 +204,7 @@ class _TraceCompiler(_BlockCompiler):
         # then pure runs need no per-instruction checks at all.
         w(2, f"if pending or machine._systick_armed "
              f"or n + {total} > maxi:")
-        w(3, "interp.instructions_executed = n")
-        w(3, f"frame.block = {head_name}")
-        w(3, "frame.index = 0")
+        w(3, f"_sync(interp, frame, n, 0, {head_name})")
         w(3, "return prog")
 
         # Streaming chunk state: a buffered pure run, its batched
@@ -242,9 +231,8 @@ class _TraceCompiler(_BlockCompiler):
                 for stmt in stmts:
                     w(3, stmt)
                 w(2, "except KeyError:")
-                w(3, "interp.instructions_executed = n")
-                w(3, f"frame.block = {self._bind(seg_block, 'B')}")
-                w(3, f"frame.index = {seg_index}")
+                w(3, f"_sync(interp, frame, n, {seg_index}, "
+                     f"{self._bind(seg_block, 'B')})")
                 w(3, "return prog")
             w(2, f"machine.cycles += {buf_cost + extra_cost}")
             w(2, f"n += {buf_count + extra_count}")
@@ -288,9 +276,7 @@ class _TraceCompiler(_BlockCompiler):
                         for stmt in e.fetch:
                             w(3, stmt)
                         w(2, "except KeyError:")
-                        for stmt in self._flush(i):
-                            w(3, stmt)
-                        w(3, f"_undef(interp, frame, "
+                        w(3, f"_undef({self._where(i)}, "
                              f"{self._bind(inst, 'I')})")
                     for stmt in e.body:
                         w(2, stmt)
@@ -316,18 +302,9 @@ class _TraceCompiler(_BlockCompiler):
                                      f"in {block.name}")
 
         source = "\n".join(lines) + "\n"
-        self.ns.update({
-            "BusFault": BusFault,
-            "MemManageFault": MemManageFault,
-            "HardFault": HardFault,
-            "ExecutionLimitExceeded": ExecutionLimitExceeded,
-            "_ts": _to_signed,
-            "_tdiv": _trunc_div,
-            "_undef": _undef,
-        })
-        code = compile(source,
-                       f"<trace @{self.fname}:{head.name}x{len(chain)}>",
-                       "exec")
+        self.ns.update(static_bindings())
+        source, code = _block_code(
+            source, f"<trace @{self.fname}:{head.name}x{len(chain)}>")
         exec(code, self.ns)
         fn = self.ns["__trace"]
         fn.__repro_source__ = source

@@ -311,12 +311,11 @@ def _fleet_eval_worker(
     flavours of the same module share compiled closures; builds are
     served by the artifact store as usual.  The sim-domain outcome of a
     lane is therefore cache-temperature- and worker-count-independent.
+    The profile travels in ``job`` and reaches every build explicitly;
+    with one worker this runs in the caller's process, so it must not
+    touch ``os.environ``.
     """
-    import os
-
     worker, specs, profile, capacity, trace = job
-    saved_profile = os.environ.get("REPRO_PROFILE")
-    os.environ["REPRO_PROFILE"] = profile
     from ..hw.exceptions import MachineError
     from ..interp.batch import BatchRunner, LaneFailure
 
@@ -369,10 +368,6 @@ def _fleet_eval_worker(
                 lanes.append(telemetry)
     finally:
         install(previous)
-        if saved_profile is None:
-            os.environ.pop("REPRO_PROFILE", None)
-        else:
-            os.environ["REPRO_PROFILE"] = saved_profile
         envelope = end_capture(token, worker=worker,
                                label=f"worker{worker}", lanes=lanes,
                                host_events=host.events())

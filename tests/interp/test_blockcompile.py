@@ -24,7 +24,12 @@ from repro.interp import (
     compile_block,
 )
 from repro.interp import blockcompile
-from repro.interp.blockcompile import CODE_MEMO_SIZE, _block_code, wait_loop
+from repro.interp.blockcompile import (
+    CODE_MEMO_SIZE,
+    _block_code,
+    _source_code,
+    wait_loop,
+)
 from repro.ir import I32, VOID
 
 
@@ -171,25 +176,41 @@ def _global_loop_module(name: str, init: int):
     return module
 
 
-def _named_module(fname: str, *, terminated: bool):
-    """One function ``fname``: a counting loop (``terminated``) or a
-    single block that falls off its end."""
+#: How a :func:`_named_module` function ends, and the fault it raises.
+ENDINGS = {
+    "budget": "ExecutionLimitExceeded",
+    "fell-off": "HardFault",
+    "stack-overflow": "HardFault",
+    "unreachable": "HardFault",
+}
+
+
+def _named_module(fname: str, *, ending: str):
+    """One function ``fname`` whose first block is ``<fname>.top``: a
+    counting loop that outruns a small budget, a block that falls off
+    its end, an ``alloca`` past the stack limit, or ``unreachable``.
+    Only the two names differ between two calls."""
     module = ir.Module("named")
     counter = module.add_global("counter", I32, 0)
     function = ir.Function(fname, ir.FunctionType(I32, []))
     module.add_function(function)
-    b = ir.IRBuilder(function)
-    b.position_at_end(function.add_block("entry"))
-    if terminated:
+    b = ir.IRBuilder(function, function.add_block(f"{fname}.top"))
+    b.store(b.add(b.load(counter), 1), counter)
+    if ending == "budget":
         with b.for_range(0, 10_000):
             b.store(b.add(b.load(counter), 1), counter)
         b.halt(b.load(counter))
-    else:
-        b.store(b.add(b.load(counter), 1), counter)
+    elif ending == "stack-overflow":
+        b.alloca(I32, 0x10000)
+        b.halt(0)
+    elif ending == "unreachable":
+        b.unreachable()
     return module
 
 
-def _fault_message(module, entry: str, block_compile: bool) -> str:
+def _fault(module, entry: str, block_compile: bool) -> tuple:
+    """The terminal fault's ``type: message``, plus where it left the
+    run: instructions executed, cycles, every frame's block and index."""
     board = stm32f4_discovery()
     image = build_vanilla_image(module, board)
     machine = Machine(board)
@@ -198,7 +219,9 @@ def _fault_message(module, entry: str, block_compile: bool) -> str:
                          block_compile=block_compile)
     with pytest.raises(MachineError) as excinfo:
         interp.run(entry)
-    return f"{type(excinfo.value).__name__}: {excinfo.value}"
+    return (f"{type(excinfo.value).__name__}: {excinfo.value}",
+            interp.instructions_executed, machine.cycles,
+            [(f.block.name, f.index) for f in interp.frames])
 
 
 class TestCodeMemo:
@@ -247,51 +270,75 @@ class TestCodeMemo:
         assert seeds == [{left.get_global("seed")},
                          {right.get_global("seed")}]
 
-    @pytest.mark.parametrize("terminated", [True, False],
-                             ids=["budget", "fell-off"])
-    def test_function_name_keeps_code_apart(self, terminated,
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_function_name_keeps_code_apart(self, ending,
                                             no_artifact_store):
-        modules = {name: _named_module(name, terminated=terminated)
-                   for name in ("spin_a", "spin_b")}
-        for name, module in modules.items():
-            compiled = _fault_message(module, name, True)
-            assert compiled == _fault_message(module, name, False)
-            assert f"@{name}" in compiled
-        codes = [[blk._compiled.__code__
-                  for blk in module.get_function(name).blocks
-                  if callable(getattr(blk, "_compiled", None))]
-                 for name, module in modules.items()]
-        assert codes[0] and codes[1]
-        assert not {id(c) for c in codes[0]} & {id(c) for c in codes[1]}
-        for name, module_codes in zip(modules, codes):
-            assert all(c.co_filename.startswith(f"<block @{name}:")
-                       for c in module_codes)
+        """Blocks differing only in function and block name share one
+        compile, yet each keeps its own code object and filename, and
+        the fault names the function it happened in."""
+        names = ("spin_a", "spin_b")
+        modules = [_named_module(name, ending=ending) for name in names]
+        compiles = []
+        for name, module in zip(names, modules):
+            before = _source_code.cache_info().misses
+            compiled = _fault(module, name, True)
+            compiles.append(_source_code.cache_info().misses - before)
+            assert compiled == _fault(module, name, False)
+            message = compiled[0]
+            assert message.startswith(f"{ENDINGS[ending]}: ")
+            assert f"@{name}" in message
+        assert compiles[1] == 0
+        pairs = [(a, b) for a, b in zip(*(
+            module.get_function(name).blocks
+            for name, module in zip(names, modules)))
+            if hasattr(a, "_compiled")]
+        assert pairs
+        for a, b in pairs:
+            assert callable(a._compiled) and callable(b._compiled)
+            assert a._compiled.__repro_source__ is \
+                b._compiled.__repro_source__
+            assert a._compiled.__code__ is not b._compiled.__code__
+            assert a._compiled.__code__.co_code == \
+                b._compiled.__code__.co_code
+            for name, block in zip(names, (a, b)):
+                assert block._compiled.__code__.co_filename == \
+                    f"<block @{name}:{block.name}>"
+
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_generated_source_is_name_free(self, ending):
+        module = _named_module("quux_fn", ending=ending)
+        for block in module.get_function("quux_fn").blocks:
+            source = compile_block(block).__repro_source__
+            assert "quux" not in source
+            assert block.name not in source
 
     def test_codegen_failure_is_not_memoised(self, monkeypatch):
-        module = _named_module("broken_halt", terminated=True)
+        module = _named_module("broken_halt", ending="budget")
         block = module.get_function("broken_halt").blocks[-1]
         monkeypatch.setattr(
             blockcompile._BlockCompiler, "_emit_halt",
             lambda self, i, inst: blockcompile._Emitted(
                 ["return ("], transfers=True))
-        before = _block_code.cache_info()
+        before = (_block_code.cache_info(), _source_code.cache_info())
         assert compile_block(block) is None
         assert compile_block(block) is None
-        after = _block_code.cache_info()
+        after = (_block_code.cache_info(), _source_code.cache_info())
         # Both attempts really compiled (two misses), neither stored.
-        assert after.misses - before.misses == 2
-        assert after.currsize == before.currsize
+        for old, new in zip(before, after):
+            assert new.misses - old.misses == 2
+            assert new.currsize == old.currsize
 
     def test_memo_stays_within_its_bound(self):
         module = ir.Module("many")
         for k in range(CODE_MEMO_SIZE + 8):
             _f, b = ir.define(module, f"const{k}", I32, [])
-            b.halt(k)
+            b.halt(b.add(k, 0))  # k lands in the source: all distinct
         for function in module.defined_functions():
             assert callable(compile_block(function.blocks[0]))
-        info = _block_code.cache_info()
-        assert info.maxsize == CODE_MEMO_SIZE
-        assert info.currsize <= CODE_MEMO_SIZE
+        for memo in (_block_code, _source_code):
+            info = memo.cache_info()
+            assert info.maxsize == CODE_MEMO_SIZE
+            assert info.currsize <= CODE_MEMO_SIZE
 
     def test_generated_filename_names_the_block(self, no_artifact_store):
         """Profilers attribute generated code by this filename prefix."""

@@ -238,6 +238,43 @@ class TestTraceCache:
         assert all(isinstance(b, ir.BasicBlock)
                    for b in fn.__repro_chain__)
 
+    def test_same_loop_in_two_functions_compiles_once(self, hot,
+                                                      no_artifact_store):
+        """Trace sources are name-free like block sources: the second
+        function's trace reuses the first's compile, renamed to its own
+        ``<trace @fn:head>`` filename."""
+        from repro.interp.blockcompile import _source_code
+
+        traces = []
+        for name in ("loop_a", "loop_b"):
+            module = ir.Module(name)
+            _f, b = ir.define(module, name, I32, [])
+            acc = b.alloca(I32)
+            b.store(0, acc)
+            with b.for_range(0, 50) as load_i:
+                b.store(b.add(b.load(acc), load_i()), acc)
+            b.halt(b.load(acc))
+            board = stm32f4_discovery()
+            image = build_vanilla_image(module, board)
+            machine = Machine(board)
+            image.initialize_memory(machine)
+            before = _source_code.cache_info().misses
+            interp = Interpreter(machine, image, block_compile=True,
+                                 trace_fuse=True)
+            assert interp.run(name) == sum(range(50))
+            traces.append((
+                _source_code.cache_info().misses - before,
+                [blk._trace for blk in module.get_function(name).blocks
+                 if callable(getattr(blk, "_trace", None))]))
+        (_, (first,)), (misses, (second,)) = traces
+        assert misses == 0
+        assert first.__repro_source__ is second.__repro_source__
+        assert first.__code__ is not second.__code__
+        head = first.__repro_chain__[0].name
+        assert first.__code__.co_filename.startswith(f"<trace @loop_a:{head}x")
+        assert second.__code__.co_filename.startswith(
+            f"<trace @loop_b:{head}x")
+
 
 class TestEquivalence:
     def test_arith_loop_bit_identical(self, hot):

@@ -187,3 +187,27 @@ class TestRunFleet:
         worker_pids = {entry.get("pid")
                        for entry in document["traceEvents"]} - {0, 1}
         assert len(worker_pids) >= 2
+
+
+def test_inline_worker_leaves_the_environment_alone(monkeypatch):
+    """With one worker the fleet runs in the caller's process: the
+    profile must reach the builds as an argument, never through
+    ``os.environ``."""
+    import os
+
+    monkeypatch.setenv("REPRO_PROFILE", "paper")
+    seen = []
+    lane_image = fleet._lane_image
+
+    def recording(app_name, kind, profile):
+        seen.append((os.environ.get("REPRO_PROFILE"), profile))
+        return lane_image(app_name, kind, profile)
+
+    monkeypatch.setattr(fleet, "_lane_image", recording)
+    fleet.reset()
+    result = fleet.run_fleet("PinLock", jobs=1, profile="quick",
+                             backends=("mpu",), trace=False)
+    assert result.profile == "quick"
+    assert len(seen) == len(result.lanes) == 5
+    assert set(seen) == {("paper", "quick")}
+    assert os.environ["REPRO_PROFILE"] == "paper"
