@@ -47,15 +47,16 @@ def active_profile() -> str:
 
 
 def repro_jobs() -> int:
-    """Evaluation fan-out width.  ``REPRO_JOBS`` unset/1 → serial;
-    ``0`` or ``auto`` → one worker per CPU."""
-    raw = os.environ.get("REPRO_JOBS", "1").strip().lower()
+    """Evaluation fan-out width.  ``REPRO_JOBS`` unset/empty → serial;
+    ``0`` or ``auto`` → one worker per CPU; a positive integer → that
+    many workers.  Anything else raises, like every other ``REPRO_*``
+    knob, instead of silently serialising a misconfigured run."""
+    raw = os.environ.get("REPRO_JOBS", "").strip().lower()
+    if not raw:
+        return 1
     if raw in ("0", "auto"):
         return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return fleet.validate_jobs(raw, "REPRO_JOBS")
 
 
 _app_cache: dict[tuple[str, str], Application] = {}

@@ -23,10 +23,10 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
   resolves every image- or machine-specific value at run time through
   the executing interpreter: globals via
   ``interp.hooks.global_address``, function addresses and the stack
-  limit via ``interp.image``.  Only genuinely immutable facts are
-  folded at compile time: operand slots, constant values, cycle
-  costs, access sizes/masks, GEP strides and struct offsets, branch
-  targets.
+  limit via ``interp.image``.  Only immutable facts are resolved at
+  compile time: operand slots, constant values and folded GEP
+  offsets (bound into the closure's namespace, see below), cycle
+  costs, access sizes/masks, GEP strides, branch targets.
 
 * **Inline SRAM hit, shared cold paths.**  A block that touches
   memory hoists the epoch-scoped arbitration callable (the backend's
@@ -65,16 +65,23 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
 * **One compile per distinct source.**  Generated source is a pure
   function of the block's structure: bindings are numbered, not named
   after the objects they hold, and no function or block name appears
-  in it.  Structurally identical blocks — the same helper linked into
-  many firmwares, the same loop shape in two functions — cost one
-  ``compile()`` from a bounded per-process memo (:func:`_source_code`).
+  in it.  Nor does any constant: every value taken from an IR constant
+  (an operand, a ``ConstantPointer`` address, a folded GEP offset, an
+  ``alloca`` size, a polled MMIO address) is a fresh ``_K<n>`` binding
+  per occurrence, never shared between equal values.  Instruction
+  indices, cycle costs, access sizes, masks, bit widths, GEP strides
+  and the target of a constant ``br`` stay literal.  Structurally
+  identical blocks — the same helper linked into many firmwares, the
+  same loop shape in two functions, blocks differing only in their
+  immediates — cost one ``compile()`` from a bounded per-process memo
+  (:func:`_source_code`).
   :func:`_block_code` then gives each closure's code its
   ``<block @fn:block>`` filename, memoised per source and filename so
   identical fn:block pairs share one code object; profilers and
   tracebacks read that name.  Each block still ``exec``s its code into
-  its own namespace, so it binds its own operands and globals; the
-  process-wide names every namespace shares come from one table
-  (:func:`static_bindings`).
+  its own namespace, so it binds its own operands, globals and
+  constant values; the process-wide names every namespace shares come
+  from one table (:func:`static_bindings`).
 
 * **Device-wait fast-forward.**  A block heading a device-wait loop
   (:func:`wait_loop`) calls ``Interpreter._wait_skip`` on its
@@ -332,15 +339,23 @@ def _fold_signed(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
+#: ``[sources, characters]`` :func:`_source_code` has compiled in this
+#: process (its memo misses); the interpreter counts the growth each of
+#: its compiles causes.
+source_tally = [0, 0]
+
+
 @lru_cache(maxsize=CODE_MEMO_SIZE)
 def _source_code(source: str):
     """``(source, code)`` for one generated source, compiled on a miss.
 
-    Sources are name-free, so one entry serves every function and
+    Sources are name- and constant-free, so one entry serves every
     block with the same structure.  The memo's ``source`` string is
     returned too, so closures sharing code share one string.  A
     failing compile raises and is not memoised.
     """
+    source_tally[0] += 1
+    source_tally[1] += len(source)
     return source, compile(source, "<generated>", "exec")
 
 
@@ -504,6 +519,18 @@ class _BlockCompiler:
             self.ns[name] = obj
         return name
 
+    def _const(self, value: int) -> str:
+        """A fresh binding for one value taken from an IR constant.
+
+        Every occurrence gets its own name, even when two values (or
+        two uses of one constant) are equal, so the source depends only
+        on where constants occur, never on what they hold.
+        """
+        self._counter += 1
+        name = f"_K{self._counter}"
+        self.ns[name] = value
+        return name
+
     # -- operand expressions ------------------------------------------
 
     def _operand(self, value) -> tuple[str, bool]:
@@ -514,9 +541,9 @@ class _BlockCompiler:
         image-specific stays a runtime call through ``interp``.
         """
         if isinstance(value, Constant):
-            return repr(value.value & value.type.mask), False
+            return self._const(value.value & value.type.mask), False
         if isinstance(value, ConstantPointer):
-            return repr(value.address), False
+            return self._const(value.address), False
         if isinstance(value, ConstantNull):
             return "0", False
         if isinstance(value, GlobalVariable):
@@ -716,13 +743,15 @@ class _BlockCompiler:
         ptr, guarded = self._operand(inst.pointer)
         indices = inst.indices
         const_off = 0
+        folded = False
         terms: list[str] = []
 
         def add_index(value, stride: int) -> None:
-            nonlocal const_off, guarded
+            nonlocal const_off, folded, guarded
             if isinstance(value, Constant):
                 signed = _fold_signed(value.value & value.type.mask, 32)
                 const_off += signed * stride
+                folded = True
             else:
                 expr, g = self._operand(value)
                 guarded = guarded or g
@@ -742,6 +771,7 @@ class _BlockCompiler:
                         return self._emit_escape(i, inst)
                     ival = index.value & index.type.mask
                     const_off += current.offset_of(ival)
+                    folded = True
                     current = current.field_type(ival)
                 else:
                     bad_walk = True
@@ -751,8 +781,8 @@ class _BlockCompiler:
         # Masking once at the end equals the reference's per-step
         # masking: addition mod 2**32 is associative.
         parts = [ptr]
-        if const_off:
-            parts.append(str(const_off))
+        if folded:
+            parts.append(self._const(const_off))
         parts.extend(terms)
         expr = f"({' + '.join(parts)}) & {_WORD}"
         if bad_walk:
@@ -776,7 +806,8 @@ class _BlockCompiler:
     def _emit_alloca(self, i: int, inst: Alloca) -> _Emitted:
         dst = self._bind(inst, "V")
         return _Emitted([
-            f"interp.sp = __sp = (interp.sp - {inst.byte_size}) & -4",
+            f"interp.sp = __sp = (interp.sp - {self._const(inst.byte_size)})"
+            " & -4",
             "if __sp < interp.image.stack_limit:",
             f"    _stack_overflow({self._where(i)}, __sp)",
             f"regs[{dst}] = __sp",
@@ -928,8 +959,9 @@ class _BlockCompiler:
             callee = self._bind(wait.callee, "F")
         return [
             f"if __b is {self._bind(wait.cont, 'B')} and {guard}:",
-            f"    n = interp._wait_skip(n, {wait.address}, {wait.size}, "
-            f"{wait.cycles}, {wait.insts}, {wait.read_at}, {callee})",
+            f"    n = interp._wait_skip(n, {self._const(wait.address)}, "
+            f"{wait.size}, {wait.cycles}, {wait.insts}, {wait.read_at}, "
+            f"{callee})",
         ]
 
     def _emit_jump(self, i: int, inst: Jump) -> _Emitted:

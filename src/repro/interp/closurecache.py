@@ -12,7 +12,9 @@ closure — never the closure object itself:
 * a locator per namespace binding — instructions, parameters, blocks,
   globals and functions are named by ``(function name, indexes)``
   within the module, and re-resolved against the freshly built module
-  on load.  Static bindings (the block compiler's
+  on load.  An ``int`` binding (a value the compiler took from an IR
+  constant: generated source never holds one as a literal) is stored
+  as itself.  Static bindings (the block compiler's
   :func:`~repro.interp.blockcompile.static_bindings`) are re-added
   from the live tree.
 
@@ -94,6 +96,8 @@ def _block_key(block: BasicBlock) -> tuple[str, int]:
 
 
 def _encode_binding(name: str, value: Any, home: Function) -> tuple:
+    if value.__class__ is int:
+        return name, "int", value
     if isinstance(value, GlobalVariable):
         return name, "global", value.name
     if isinstance(value, Function):
@@ -115,6 +119,8 @@ def _encode_binding(name: str, value: Any, home: Function) -> tuple:
 
 
 def _decode_binding(kind: str, locator, module: Module) -> Any:
+    if kind == "int":
+        return locator
     if kind == "global":
         return module.get_global(locator)
     if kind == "function":

@@ -77,7 +77,11 @@ from ..obs.events import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import attach_crash_context
-from .blockcompile import block_compile_enabled, compile_block
+from .blockcompile import (
+    block_compile_enabled,
+    compile_block,
+    source_tally as _source_tally,
+)
 from .closurecache import (
     note_compiled as _cache_note_compiled,
     preload as _cache_preload,
@@ -167,6 +171,12 @@ class Interpreter:
             "blockcompile.blocks_compiled")
         self._n_compile_errors = self.compile_metrics.counter(
             "blockcompile.compile_errors")
+        # ``compile()`` calls (code-memo misses) this interpreter's
+        # block and trace compiles caused, and their source length.
+        self._n_sources_compiled = self.compile_metrics.counter(
+            "blockcompile.sources_compiled")
+        self._n_source_chars = self.compile_metrics.counter(
+            "blockcompile.source_chars")
         self._n_block_entries = self.compile_metrics.counter(
             "blockcompile.block_entries")
         self._n_fallback_steps = self.compile_metrics.counter(
@@ -383,24 +393,32 @@ class Interpreter:
             entries.value += 1
             fn(self, frame, machine, frame.index)
 
+    def _codegen(self, compiler, block: BasicBlock):
+        """Run one block or trace compiler, counting the sources it had
+        to ``compile()`` (the rest came from the shared code memo)."""
+        sources, chars = _source_tally
+        fn = compiler(block)
+        self._n_sources_compiled.value += _source_tally[0] - sources
+        self._n_source_chars.value += _source_tally[1] - chars
+        _cache_note_compiled(self.image.module)
+        return fn
+
     def _compile(self, block: BasicBlock):
         """First execution of ``block``: build (or fail) its closure."""
-        fn = compile_block(block)
+        fn = self._codegen(compile_block, block)
         if fn is None:
             self._n_compile_errors.value += 1
         else:
             self._n_blocks_compiled.value += 1
-        _cache_note_compiled(self.image.module)
         return fn
 
     def _compile_trace(self, block: BasicBlock):
         """``block`` went hot: build (or reject) its loop trace."""
-        fn = compile_trace(block)
+        fn = self._codegen(compile_trace, block)
         if fn is None:
             self._n_trace_rejects.value += 1
         else:
             self._n_traces_compiled.value += 1
-        _cache_note_compiled(self.image.module)
         return fn
 
     def _wait_skip(self, n: int, address: int, size: int, cycles: int,

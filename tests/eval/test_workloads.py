@@ -1,8 +1,11 @@
 """Tests for workload profiles and build/run caching."""
 
+import os
+
 import pytest
 
 from repro.eval import workloads
+from repro.interp import blockcompile
 
 
 def test_profiles_change_workload_scale():
@@ -70,14 +73,22 @@ def test_active_profile_env(monkeypatch):
 def test_repro_jobs_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert workloads.repro_jobs() == 1
+    monkeypatch.setenv("REPRO_JOBS", "")
+    assert workloads.repro_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
     assert workloads.repro_jobs() == 4
-    monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert workloads.repro_jobs() >= 1
-    monkeypatch.setenv("REPRO_JOBS", "bogus")
-    assert workloads.repro_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "-3")
-    assert workloads.repro_jobs() == 1
+    cpus = os.cpu_count() or 1
+    for spelling in ("0", "auto", "AUTO"):
+        monkeypatch.setenv("REPRO_JOBS", spelling)
+        assert workloads.repro_jobs() == cpus
+
+
+@pytest.mark.parametrize("raw", ["bogus", "-3", "2.5", "four"])
+def test_repro_jobs_typo_raises(monkeypatch, raw):
+    """A typo must not silently serialise every fan-out."""
+    monkeypatch.setenv("REPRO_JOBS", raw)
+    with pytest.raises(ValueError, match=r"invalid worker count .*REPRO_JOBS"):
+        workloads.repro_jobs()
 
 
 def test_compute_all_rows_sections_and_order():
@@ -108,11 +119,16 @@ def test_compute_all_rows_aggregates_compile_metrics(monkeypatch):
     monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on")
     monkeypatch.setenv("REPRO_TRACEFUSE", "on")
     workloads.clear_caches()
+    # Empty the per-process code memos so the run compiles sources too.
+    blockcompile._block_code.cache_clear()
+    blockcompile._source_code.cache_clear()
     try:
         rows = workloads.compute_all_rows(jobs=1)
         compile_totals = rows["compile"]
         assert compile_totals.get("blockcompile.blocks_compiled", 0) > 0
         assert compile_totals.get("blockcompile.block_entries", 0) > 0
+        assert compile_totals["blockcompile.source_chars"] > \
+            compile_totals["blockcompile.sources_compiled"] > 0
         assert list(compile_totals) == sorted(compile_totals)
     finally:
         workloads.clear_caches()

@@ -49,7 +49,7 @@ def _attack_setup(key_address: int):
 def _key_address_vanilla():
     app = pinlock.build(rounds=1, vulnerable=True)
     image = build_vanilla(app.module, app.board)
-    return app, image, image.global_address(app.module.get_global("KEY"))
+    return app, image, image.global_address(image.module.get_global("KEY"))
 
 
 def test_attack_succeeds_on_vanilla():
@@ -65,7 +65,7 @@ def test_attack_succeeds_on_vanilla():
 def test_attack_blocked_by_opec():
     app = pinlock.build(rounds=1, vulnerable=True)
     artifacts = build_opec(app.module, app.board, app.specs)
-    key = app.module.get_global("KEY")
+    key = artifacts.module.get_global("KEY")
     # KEY is shared by Key_Init and Unlock_Task -> external -> the
     # attacker can try the public original or Unlock_Task's shadow.
     public_address = artifacts.image.public_addresses[key]

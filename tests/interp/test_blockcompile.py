@@ -30,7 +30,7 @@ from repro.interp.blockcompile import (
     _source_code,
     wait_loop,
 )
-from repro.ir import I32, VOID
+from repro.ir import I8, I32, VOID
 
 
 def _loop_module(iterations: int = 500):
@@ -45,7 +45,7 @@ def _loop_module(iterations: int = 500):
 
 
 def _run(module, block_compile, *, max_instructions=1_000_000,
-         raise_irqs=()):
+         raise_irqs=(), trace_fuse=None):
     """Run a vanilla build; return (interp, machine, outcome).
 
     ``outcome`` is the halt code, or the terminal :class:`MachineError`
@@ -58,7 +58,7 @@ def _run(module, block_compile, *, max_instructions=1_000_000,
     for number in raise_irqs:
         machine.raise_irq(number)
     interp = Interpreter(machine, image, max_instructions=max_instructions,
-                         block_compile=block_compile)
+                         block_compile=block_compile, trace_fuse=trace_fuse)
     try:
         outcome = interp.run()
     except MachineError as error:
@@ -66,13 +66,14 @@ def _run(module, block_compile, *, max_instructions=1_000_000,
     return interp, machine, outcome
 
 
-def _compare_modes(module, *, max_instructions=1_000_000, raise_irqs=()):
+def _compare_modes(module, *, max_instructions=1_000_000, raise_irqs=(),
+                   trace_fuse=None):
     """Run both modes and assert the simulated outcomes are identical."""
     results = []
     for mode in (True, False):
         interp, machine, outcome = _run(
             module, mode, max_instructions=max_instructions,
-            raise_irqs=raise_irqs)
+            raise_irqs=raise_irqs, trace_fuse=trace_fuse)
         sram = machine.read_bytes(machine.sram.base, machine.sram.size)
         results.append({
             "outcome": (type(outcome).__name__, str(outcome))
@@ -224,9 +225,94 @@ def _fault(module, entry: str, block_compile: bool) -> tuple:
             [(f.block.name, f.index) for f in interp.frames])
 
 
+DWT_CYCCNT = 0xE0001004  # reads the cycle counter
+SCB_ICSR = 0xE000ED04    # reads 0 out of reset
+
+
+def _constant_module(*, imm, stored, mmio, field, alloca, limit, bound):
+    """A ``main`` holding every kind of value the block compiler binds
+    instead of writing it into the source: a binop immediate, a stored
+    constant, an MMIO constant-pointer load, a struct-field GEP offset,
+    an ``alloca`` size, a signed compare against a constant, and a hot
+    loop's bound.  Any two calls build structurally identical modules.
+    Halts with ``stored + sum(range(bound)) + flag + (status << 16)``
+    where ``flag`` is 1 when ``stored + imm < limit`` (signed), else 2.
+    """
+    module = ir.Module("consts")
+    record = ir.StructType("rec", [("a", I32), ("b", I32), ("c", I32)])
+    _m, b = ir.define(module, "main", I32, [])
+    b.alloca(ir.array(I8, alloca))
+    slot = b.gep(b.alloca(record), 0, field)
+    b.store(stored, slot)
+    status = b.load(b.mmio(mmio))
+    flag = b.select(b.icmp("slt", b.add(b.load(slot), imm), limit), 1, 2)
+    with b.for_range(0, bound) as load_i:
+        b.store(b.add(b.load(slot), load_i()), slot)
+    b.halt(b.add(b.add(b.load(slot), flag), b.shl(status, 16)))
+    return module
+
+
+#: Two value sets for :func:`_constant_module`.  In the first the binop
+#: immediate equals the stored constant; in the second they differ, so
+#: binding equal constants to one name would change the source.
+CONSTANTS = (
+    {"imm": 7, "stored": 7, "mmio": DWT_CYCCNT, "field": 1, "alloca": 40,
+     "limit": 100, "bound": 30},
+    {"imm": 7, "stored": 9, "mmio": SCB_ICSR, "field": 2, "alloca": 24,
+     "limit": -5, "bound": 45},
+)
+
+
 class TestCodeMemo:
     """Structurally identical blocks share one code object per process;
     each still executes in its own namespace."""
+
+    def test_blocks_differing_only_in_constants_share_code(
+            self, monkeypatch, no_artifact_store):
+        """The second module compiles nothing, its fused hot loop
+        included, yet each simulates exactly like single-step with its
+        own values."""
+        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+        modules = [_constant_module(**values) for values in CONSTANTS]
+        misses, outcomes = [], []
+        for module in modules:
+            before = _source_code.cache_info().misses
+            outcomes.append(_compare_modes(module, trace_fuse=True)["outcome"])
+            misses.append(_source_code.cache_info().misses - before)
+        assert misses[1] == 0
+        assert [code & 0xFFFF for code in outcomes] == \
+            [7 + sum(range(30)) + 1, 9 + sum(range(45)) + 2]
+        assert outcomes[0] >> 16 and not outcomes[1] >> 16
+        blocks = [module.get_function("main").blocks for module in modules]
+        for a, b in zip(*blocks):
+            assert callable(a._compiled) and callable(b._compiled)
+            assert a._compiled.__repro_source__ is \
+                b._compiled.__repro_source__
+        traces = [[blk._trace for blk in main
+                   if callable(getattr(blk, "_trace", None))]
+                  for main in blocks]
+        (first,), (second,) = traces
+        assert first.__repro_source__ is second.__repro_source__
+        assert first.__globals__ is not second.__globals__
+
+    def test_interpreter_counts_the_sources_it_compiles(
+            self, no_artifact_store):
+        """Two blocks differing only in a constant cost one
+        ``compile()``, counted by the interpreter that caused it."""
+        _block_code.cache_clear()
+        _source_code.cache_clear()
+        counted = []
+        for k in (3, 5):
+            module = ir.Module("count")
+            _m, b = ir.define(module, "main", I32, [])
+            b.halt(b.add(b.load(b.mmio(SCB_ICSR)), k))
+            interp, _, code = _run(module, True)
+            assert code == k
+            counters = interp.compile_metrics.snapshot()["counters"]
+            counted.append((counters["blockcompile.sources_compiled"],
+                            counters["blockcompile.source_chars"]))
+        source = module.get_function("main").blocks[0]._compiled
+        assert counted == [(1, len(source.__repro_source__)), (0, 0)]
 
     def test_identical_blocks_in_two_modules_share_code(
             self, no_artifact_store):
@@ -312,6 +398,23 @@ class TestCodeMemo:
             assert "quux" not in source
             assert block.name not in source
 
+    def test_generated_source_is_constant_free(self):
+        module = ir.Module("distinct")
+        main, b = ir.define(module, "main", I32, [])
+        frame = b.alloca(ir.array(I8, 1234))
+        words = b.alloca(I32, 8)
+        b.store(0x5EED1234, b.gep(words, 3))
+        back = b.gep(b.gep(words, 5), -3)  # a -12 byte offset
+        b.store(b.load(b.mmio(0x40021014)), back)
+        b.halt(0)
+        fn = compile_block(main.blocks[0])
+        values = (0x5EED1234, 0x40021014, -12, frame.byte_size)
+        bound = {v for v in fn.__globals__.values() if v.__class__ is int}
+        assert set(values) <= bound
+        for value in values:
+            assert str(value) not in fn.__repro_source__
+            assert hex(value) not in fn.__repro_source__.lower()
+
     def test_codegen_failure_is_not_memoised(self, monkeypatch):
         module = _named_module("broken_halt", ending="budget")
         block = module.get_function("broken_halt").blocks[-1]
@@ -329,16 +432,23 @@ class TestCodeMemo:
             assert new.currsize == old.currsize
 
     def test_memo_stays_within_its_bound(self):
+        # 13 specialised binops: the k-th sequence of three is the k-th
+        # distinct block shape.
+        ops = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
+               "ashr", "udiv", "urem", "sdiv", "srem")
         module = ir.Module("many")
         for k in range(CODE_MEMO_SIZE + 8):
-            _f, b = ir.define(module, f"const{k}", I32, [])
-            b.halt(b.add(k, 0))  # k lands in the source: all distinct
+            _f, b = ir.define(module, f"shape{k}", I32, [])
+            value = b.const(k)
+            for op in (ops[k // 169], ops[k // 13 % 13], ops[k % 13]):
+                value = b.binop(op, value, 3)
+            b.halt(value)
         for function in module.defined_functions():
             assert callable(compile_block(function.blocks[0]))
         for memo in (_block_code, _source_code):
             info = memo.cache_info()
             assert info.maxsize == CODE_MEMO_SIZE
-            assert info.currsize <= CODE_MEMO_SIZE
+            assert info.currsize == CODE_MEMO_SIZE  # it evicted
 
     def test_generated_filename_names_the_block(self, no_artifact_store):
         """Profilers attribute generated code by this filename prefix."""
@@ -548,6 +658,8 @@ class TestWaitLoopRecogniser:
         main = _inline_wait()
         fn = compile_block(_header(main))
         assert "interp._wait_skip(" in fn.__repro_source__
+        # The polled address is bound, not written into the source.
+        assert str(USART2_SR) not in fn.__repro_source__
         plain = compile_block(main.blocks[0])
         assert "interp._wait_skip(" not in plain.__repro_source__
 
