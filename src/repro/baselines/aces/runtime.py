@@ -51,6 +51,11 @@ class AcesRuntime(RuntimeHooks):
         self.switch_count = 0
         self.micro_emulations = 0
         self.current_stack_mask = 0
+        # Region sets are pure in (compartment, stack mask) and
+        # MPURegion is immutable: memoised, with a fresh list per load.
+        # Keyed by index, since Compartment equality compares function
+        # sets.
+        self._region_sets: dict[tuple[int, int], list[MPURegion]] = {}
 
     def on_reset(self, interp) -> None:
         self._load_mpu(self.current, self.current_stack_mask)
@@ -100,18 +105,21 @@ class AcesRuntime(RuntimeHooks):
         self.machine.set_base_privilege(context.was_privileged)
 
     def _load_mpu(self, compartment: Compartment, stack_mask: int) -> None:
-        layout = self.image.layout_of(compartment)
-        regions = []
-        for template in layout.templates:
-            if template.number == 2:  # the stack region gets the mask
-                regions.append(MPURegion(
-                    number=2, base=template.base, size=template.size,
-                    priv=template.priv, unpriv=template.unpriv,
-                    subregion_disable=stack_mask,
-                ))
-            else:
-                regions.append(template)
-        self.machine.enforcement.load_configuration(regions)
+        key = (compartment.index, stack_mask)
+        memo = self._region_sets.get(key)
+        if memo is None:
+            memo = []
+            for template in self.image.layout_of(compartment).templates:
+                if template.number == 2:  # the stack region gets the mask
+                    memo.append(MPURegion(
+                        number=2, base=template.base, size=template.size,
+                        priv=template.priv, unpriv=template.unpriv,
+                        subregion_disable=stack_mask,
+                    ))
+                else:
+                    memo.append(template)
+            self._region_sets[key] = memo
+        self.machine.enforcement.load_configuration(list(memo))
 
     def handle_memmanage(self, interp, fault: MemManageFault):
         # The micro-emulator: accesses into the (masked) previous stack

@@ -47,7 +47,8 @@ def task_trace(name: str) -> TaskTrace:
 
     Memoised in-process and persisted in the artifact store: the trace
     is a pure function of the firmware, the stimuli, and the simulator,
-    all of which the trace digest covers.
+    all of which the trace digest covers.  The traced run is checked
+    with ``app.verify_run`` first, like every other run.
     """
     if name not in _trace_cache:
         app = build_app(name, profile=PROFILE)
@@ -64,8 +65,11 @@ def task_trace(name: str) -> TaskTrace:
                 _trace_cache[name] = cached
                 return cached
         image = build_vanilla_image(app.module, app.board)
-        trace, _result = trace_tasks(image, entries, setup=app.setup,
-                                     max_instructions=app.max_instructions)
+        trace, result = trace_tasks(image, entries, setup=app.setup,
+                                    max_instructions=app.max_instructions)
+        # A run that stopped early would give wrong ET values, cached
+        # for every later export: check it like any other run.
+        app.verify_run(result.machine, result.halt_code)
         if store is not None:
             store.put(digest, trace)
         _trace_cache[name] = trace

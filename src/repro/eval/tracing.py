@@ -7,6 +7,11 @@ window* opens when a task entry function is entered from outside any
 window and closes when that activation returns; every function entered
 while the window is open belongs to the task.
 
+The tracer also tells the interpreter when a skipped call of a polled
+accessor would add nothing to the trace (``repeat_call_is_noop``), so
+traced runs keep the call-shape device-wait fast-forward and execute
+the same few thousand blocks as untraced ones.
+
 Traces record function *names*, not :class:`Function` objects: names
 are stable across module copies (the artifact cache rehydrates builds
 as fresh objects) and across processes, so a trace taken against one
@@ -62,6 +67,14 @@ class TaskTracer:
     def install(self, interp: Interpreter) -> None:
         interp.on_function_enter = self._on_enter
         interp.on_function_exit = self._on_exit
+        interp.repeat_call_is_noop = self._repeat_call_is_noop
+
+    def _repeat_call_is_noop(self, func: Function) -> bool:
+        """Whether one more enter/exit pair of ``func``, right after a
+        real one, leaves the trace unchanged: inside a window it adds a
+        name the real pair already added; outside, only a task entry
+        would open a window (and count an invocation)."""
+        return self._window_task is not None or func.name not in self.entries
 
     def _on_enter(self, func: Function) -> None:
         self._depth += 1

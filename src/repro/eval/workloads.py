@@ -293,8 +293,8 @@ def _app_rows_worker(job: tuple[str, str, str]) -> tuple[str, dict, object]:
     need a build or run pays for it; the returned telemetry envelope
     carries the capture window's cache traffic, compile activity, and
     simulated metrics back to the parent.  A capture window, not
-    process totals: with chunked dispatch one worker process computes
-    several apps back to back."""
+    process totals: the pool reuses its processes, so one worker
+    computes several apps back to back."""
     name, profile, backend = job
     os.environ["REPRO_PROFILE"] = profile
     token = fleet.begin_capture()
@@ -310,8 +310,10 @@ def compute_all_rows(jobs: Optional[int] = None,
     """All rows for Tables 1–3 and Figures 9–11.
 
     With ``jobs`` (default: ``REPRO_JOBS``) > 1, applications are
-    built and run concurrently in a process pool; the per-app rows are
-    then merged in fixed ``APP_NAMES`` order, so the result — and
+    built and run concurrently in a process pool, one app per task so
+    an idle worker takes the next app (pool processes outlive their
+    tasks, so per-process memos carry over anyway); the per-app rows
+    are then merged in fixed ``APP_NAMES`` order, so the result — and
     everything rendered from it — is identical to the serial path.
 
     The returned mapping carries three extra, non-table keys.
@@ -343,8 +345,7 @@ def compute_all_rows(jobs: Optional[int] = None,
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for name, rows, envelope in pool.map(
                         _app_rows_worker,
-                        [(name, profile, backend) for name in APP_NAMES],
-                        chunksize=-(-len(APP_NAMES) // workers)):
+                        [(name, profile, backend) for name in APP_NAMES]):
                     per_app[name] = rows
                     envelopes.append(envelope)
         else:

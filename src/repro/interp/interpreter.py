@@ -212,6 +212,10 @@ class Interpreter:
         # §6.4): the evaluation harness records executed functions per task.
         self.on_function_enter: Optional[Callable[[Function], None]] = None
         self.on_function_exit: Optional[Callable[[Function], None]] = None
+        # Set by an observer that can tell when one more enter/exit pair
+        # of a function, right after a real pair, records nothing new:
+        # the call-shape wait fast-forward then still skips polls of it.
+        self.repeat_call_is_noop: Optional[Callable[[Function], bool]] = None
 
     # -- public API ----------------------------------------------------
 
@@ -442,8 +446,11 @@ class Interpreter:
         pending, without a horizon (a read with a side effect, or one
         that depends on more than time), when the read would fault
         (fault handlers must run for real), or — polling through
-        ``callee`` — at a domain switch point or with function
-        enter/exit observers installed.
+        ``callee`` — at a domain switch point, or with function
+        enter/exit observers installed unless ``repeat_call_is_noop``
+        vouches that the skipped calls of ``callee`` would record
+        nothing (the task tracer does; the cycle profiler, which counts
+        calls, does not).
         """
         machine = self.machine
         if machine.pending_irqs:
@@ -453,11 +460,14 @@ class Interpreter:
             return n
         if not machine.enforcement.allows(address, size, privileged, False):
             return n
-        if callee is not None and (
-                self.on_function_enter is not None
-                or self.on_function_exit is not None
-                or self.hooks.is_switch_point(self, callee)):
-            return n
+        if callee is not None:
+            if self.hooks.is_switch_point(self, callee):
+                return n
+            if (self.on_function_enter is not None
+                    or self.on_function_exit is not None):
+                noop = self.repeat_call_is_noop
+                if noop is None or not noop(callee):
+                    return n
         region = machine.memory.find(address)
         horizon_of = getattr(getattr(region, "device", None),
                              "next_change_cycle", None)

@@ -12,10 +12,14 @@ from repro.baselines.aces import (
     partition_by_filename,
     partition_by_peripheral,
 )
+from repro.eval.workloads import aces_artifacts, build_app
 from repro.hw import SecurityAbort, stm32f4_discovery
+from repro.hw.backend import KNOWN_BACKENDS
+from repro.interp import Interpreter
 from repro.ir import I32, VOID
+from repro.pipeline import default_hooks, prepare_machine
 
-from ..conftest import build_mini_module
+from ..conftest import MINI_HALT_CODE, build_mini_module
 
 
 def _resources(module, board):
@@ -172,3 +176,72 @@ class TestAcesRuntime:
         artifacts = build_aces(attack, board, "ACES2")
         with pytest.raises(SecurityAbort):
             run_image(artifacts.image)
+
+
+class NeverStores(dict):
+    """A region-set memo that never hits: every load rebuilds its set."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+#: The lanes with the most compartment switches (TCP-Echo, about 37k
+#: each) and one with many stack depths and micro-emulations.
+MEMO_LANES = [("TCP-Echo", "ACES2"), ("TCP-Echo", "ACES3"),
+              ("Animation", "ACES2")]
+
+
+def _aces_run(name, strategy, backend, memo=None):
+    """One quick-profile ACES lane to halt: (observables, runtime)."""
+    app = build_app(name, "quick")
+    image = aces_artifacts(name, strategy, "quick").image
+    machine = prepare_machine(image, setup=app.setup, backend=backend)
+    runtime = default_hooks(machine, image)
+    if memo is not None:
+        runtime._region_sets = memo
+    interp = Interpreter(machine, image, runtime,
+                         max_instructions=app.max_instructions)
+    code = interp.run()
+    app.verify_run(machine, code)
+    return {
+        "halt": code,
+        "cycles": machine.cycles,
+        "stats": machine.stats.as_dict(),
+        "switches": runtime.switch_count,
+        "micro_emulations": runtime.micro_emulations,
+        "regions": machine.enforcement.snapshot(),
+    }, runtime
+
+
+class TestRegionSetMemo:
+    @pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+    @pytest.mark.parametrize("name,strategy", MEMO_LANES)
+    def test_memo_is_transparent(self, name, strategy, backend):
+        """Memoised region sets give the run a memo that never hits
+        gives, down to the regions loaded at halt."""
+        memoised, runtime = _aces_run(name, strategy, backend)
+        rebuilt, _ = _aces_run(name, strategy, backend, memo=NeverStores())
+        assert memoised == rebuilt
+        assert len(runtime._region_sets) < memoised["switches"]
+
+    def test_mutating_a_loaded_list_never_reaches_the_memo(self, board):
+        """Each load hands the backend a fresh list: a backend that
+        empties every list after loading it still gets full sets."""
+        artifacts = build_aces(build_mini_module(), board, "ACES2")
+        machine = prepare_machine(artifacts.image)
+        runtime = default_hooks(machine, artifacts.image)
+        load = machine.enforcement.load_configuration
+        handed = []
+
+        def load_then_clear(regions):
+            load(regions)
+            handed.append(list(regions))
+            regions.clear()
+
+        machine.enforcement.load_configuration = load_then_clear
+        assert Interpreter(machine, artifacts.image, runtime).run() \
+            == MINI_HALT_CODE
+        assert len(handed) == 1 + 2 * runtime.switch_count
+        assert len(runtime._region_sets) < len(handed)
+        assert all(handed)
+        assert all(runtime._region_sets.values())

@@ -1,8 +1,13 @@
 """Unit tests for the PT/ET metrics and the task tracer."""
 
+import pytest
+
 import repro.ir as ir
+from repro import cache
+from repro.apps import Application
+from repro.eval import figure11, workloads
 from repro.eval.metrics import cumulative_ratio, et_value, pt_value, var2size
-from repro.eval.tracing import trace_tasks
+from repro.eval.tracing import TaskTrace, trace_tasks
 from repro.image import build_vanilla_image
 from repro.ir import I32, VOID, GlobalVariable, array
 
@@ -167,3 +172,33 @@ class TestTaskTracer:
         assert trace.invocations["task"] == 1
         # The handler is not an entry, so no window of its own.
         assert "SysTick_Handler" not in trace.invocations
+
+
+def test_figure11_trace_is_verified_before_it_is_stored(tmp_path,
+                                                        monkeypatch):
+    """A traced run that fails its app's check is neither memoised nor
+    persisted, so no later export reads ET values from it."""
+    def reject(self, machine, halt_code):
+        raise AssertionError(f"{self.name}: traced run rejected")
+
+    stored = []
+    put = cache.ArtifactStore.put
+
+    def spy(self, digest, obj):
+        stored.append(obj)
+        return put(self, digest, obj)
+
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+    workloads.clear_caches()
+    cache.reset_store_state()
+    monkeypatch.setattr(Application, "verify_run", reject)
+    monkeypatch.setattr(cache.ArtifactStore, "put", spy)
+    try:
+        with pytest.raises(AssertionError, match="traced run rejected"):
+            figure11.task_trace("PinLock")
+        # The run's compiled closures may be saved; the trace may not.
+        assert not any(isinstance(obj, TaskTrace) for obj in stored)
+        assert "PinLock" not in figure11._trace_cache
+    finally:
+        workloads.clear_caches()
+        cache.reset_store_state()

@@ -15,7 +15,10 @@ at every edge where a skip must stop short or not happen at all:
 (d) an OPEC operation whose UART poll MemManage-faults after a
     peripheral-region swap and retries;
 (e) an unprivileged poll of a PPB register (BusFault emulation);
-(f) a batch-runner lane against its solo run.
+(f) a batch-runner lane against its solo run;
+(g) function observers: the cycle profiler sees every poll call, and
+    the task tracer keeps the skip only where a skipped call of the
+    accessor would record nothing.
 """
 
 import functools
@@ -27,6 +30,8 @@ import repro.ir as ir
 from repro import build_opec, build_vanilla
 from repro.apps import pinlock, tcp_echo
 from repro.eval.profiler import CycleProfiler
+from repro.eval.tracing import trace_tasks
+from repro.eval.workloads import build_app
 from repro.hw import stm32f4_discovery
 from repro.hw.backend import KNOWN_BACKENDS
 from repro.hw.exceptions import MachineError
@@ -250,7 +255,7 @@ def test_irq_between_read_and_branch(call):
 
 
 def test_function_observers_see_every_poll_call():
-    """Enter/exit observers (the cycle profiler, the task tracer) are
+    """Enter/exit observers that count calls (the cycle profiler) are
     called for each call of a polled accessor, so the call shape never
     skips while one is installed."""
     app = _app("TCP-Echo")
@@ -264,6 +269,91 @@ def test_function_observers_see_every_poll_call():
         profiles.append(profiler.finish(interp.run()).functions)
     assert profiles[0] == profiles[1]
     assert profiles[0]["ETH_Frames_Waiting"].calls > 1_000
+
+
+def _traced(monkeypatch, image, entries, setup, block_compile):
+    """One ``trace_tasks`` run in the given tier: (observables incl. the
+    task trace, interpreter)."""
+    monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on" if block_compile else "off")
+    trace, result = trace_tasks(image, entries, setup=setup)
+    machine = result.machine
+    return {
+        "outcome": ("halt", result.halt_code),
+        "cycles": machine.cycles,
+        "instructions": result.interpreter.instructions_executed,
+        "stats": machine.stats.as_dict(),
+        "executed": trace.executed,
+        "invocations": trace.invocations,
+    }, result.interpreter
+
+
+def _traced_differential(monkeypatch, image, entries, setup):
+    compiled, interp = _traced(monkeypatch, image, entries, setup, True)
+    reference, _ = _traced(monkeypatch, image, entries, setup, False)
+    assert compiled == reference
+    return compiled, interp
+
+
+def test_task_tracer_keeps_the_fast_forward(monkeypatch):
+    """(g) Every ``ETH_Frames_Waiting`` poll runs inside a task window,
+    where one more call adds nothing to the trace, so the Figure 11
+    trace of TCP-Echo skips like an untraced run and still records
+    exactly what single-step records."""
+    app = build_app("TCP-Echo", profile="quick")
+    image = build_vanilla(app.module, app.board)
+    entries = [spec.entry for spec in app.specs]
+    observed, interp = _traced_differential(monkeypatch, image, entries,
+                                            app.setup)
+    assert observed["outcome"] == ("halt", 5)
+    assert "ETH_Frames_Waiting" in set().union(*observed["executed"].values())
+    assert _skips(interp) > 0
+
+
+def _task_entry_poll_module(address: int, *, in_window: bool):
+    """``main`` polls ``flag_status``, itself a task entry, until the
+    flag reads 1 — outside any window, so every call opens one.  With
+    ``in_window``, ``Poll_Task`` then polls the same accessor inside
+    its own window until the flag reads 2."""
+    module = ir.Module("taskpoll")
+    status, b = ir.define(module, "flag_status", I32, [])
+    b.ret(b.load(b.mmio(address)))
+    task, b = ir.define(module, "Poll_Task", VOID, [])
+    with b.while_loop(lambda: b.icmp("eq", b.call(status), 1)):
+        pass
+    b.ret_void()
+    _m, b = ir.define(module, "main", I32, [])
+    with b.while_loop(lambda: b.icmp("eq", b.call(status), 0)):
+        pass
+    if in_window:
+        b.call(task)
+    b.halt(0)
+    return module
+
+
+@pytest.mark.parametrize("in_window", [False, True],
+                         ids=["outside", "inside"])
+def test_task_entry_accessor_skips_only_inside_a_window(monkeypatch,
+                                                         in_window):
+    """(g) A skipped call of a task entry outside any window would have
+    opened a window and counted an invocation, so the tracer refuses
+    the skip there; inside another task's window the same accessor
+    skips and the trace is unchanged."""
+    def setup(machine):
+        machine.attach_device("USART2", PendingFlag(40_000, 80_000))
+
+    module = _task_entry_poll_module(USART2, in_window=in_window)
+    observed, interp = _traced_differential(
+        monkeypatch, build_vanilla(module, BOARD),
+        ["flag_status", "Poll_Task"], setup)
+    assert observed["outcome"] == ("halt", 0)
+    assert observed["invocations"]["flag_status"] > 100
+    if in_window:
+        assert observed["invocations"]["Poll_Task"] == 1
+        assert observed["executed"]["Poll_Task"] == {"Poll_Task",
+                                                     "flag_status"}
+        assert _skips(interp) > 0
+    else:
+        assert _skips(interp) == 0
 
 
 def _virtualised_poll_module(rounds: int):
@@ -308,25 +398,27 @@ def test_region_swap_fault_before_poll(backend):
 
 
 class PendingFlag:
-    """A status register that reads 0 until cycle ``at``, then 1.
+    """A status register that reads how many of the ascending cycle
+    stamps ``at`` have passed: 0 until cycle 40,000 by default, then 1.
 
     Time alone decides and reads have no side effect, so it honestly
-    offers the fast-forward contract: only the fault guards can keep a
-    poll of it from skipping.
+    offers the fast-forward contract: only the fault guards (or a
+    function observer) can keep a poll of it from skipping.
     """
 
-    def __init__(self, at: int = 40_000):
+    def __init__(self, *at: int):
         self.machine = None
-        self.at = at
+        self.at = at or (40_000,)
 
     def mmio_read(self, offset: int, size: int) -> int:
-        return int(self.machine.cycles >= self.at)
+        return sum(self.machine.cycles >= stamp for stamp in self.at)
 
     def mmio_write(self, offset: int, size: int, value: int) -> None:
         pass
 
     def next_change_cycle(self, offset: int):
-        return self.at if self.machine.cycles < self.at else None
+        return next((stamp for stamp in self.at
+                     if self.machine.cycles < stamp), None)
 
 
 class EmulatingRuntime(RuntimeHooks):
