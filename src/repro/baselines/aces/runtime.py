@@ -104,6 +104,16 @@ class AcesRuntime(RuntimeHooks):
         self._load_mpu(self.current, self.current_stack_mask)
         self.machine.set_base_privilege(context.was_privileged)
 
+    def switch_pair_cycles(self, interp, callee: Function) -> int:
+        # A pair charges the switch cost twice and restores the context
+        # stack, compartment, stack mask, base privilege and (memoised)
+        # region set it found; the micro-emulator charges for every
+        # fault it serves and every other fault aborts.
+        return 2 * self.machine.enforcement.switch_base_cost
+
+    def skip_switch_pairs(self, interp, callee: Function, k: int) -> None:
+        self.switch_count += k
+
     def _load_mpu(self, compartment: Compartment, stack_mask: int) -> None:
         key = (compartment.index, stack_mask)
         memo = self._region_sets.get(key)

@@ -83,10 +83,6 @@ class Board:
     def core_peripherals(self) -> list[Peripheral]:
         return [p for p in self.peripherals.values() if p.core]
 
-    @staticmethod
-    def is_ppb(address: int) -> bool:
-        return PPB_BASE <= address < PPB_END
-
 
 def _stm32_common() -> dict[str, Peripheral]:
     table = [

@@ -19,7 +19,6 @@ runtime-overhead numbers (Figure 9) are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from typing import Optional
 
 from ..obs.metrics import Counter, MetricsRegistry
@@ -87,6 +86,26 @@ def _stat_property(field: str) -> property:
 for _field in MachineStats.FIELDS:
     setattr(MachineStats, _field, _stat_property(_field))
 del _field
+
+
+class _PrivilegedMode:
+    """The context manager :meth:`Machine.privileged_mode` returns:
+    privileged on entry, back at ``base_privilege`` on exit, also when
+    the block raises (the exception propagates).  The switch and fault
+    paths enter it per switch and per handled fault, so it is a plain
+    class rather than a ``contextlib`` generator."""
+
+    __slots__ = ("machine",)
+
+    def __init__(self, machine: "Machine"):
+        self.machine = machine
+
+    def __enter__(self) -> None:
+        self.machine.privileged = True
+
+    def __exit__(self, *exc_info) -> None:
+        machine = self.machine
+        machine.privileged = machine.base_privilege
 
 
 class Machine:
@@ -198,14 +217,9 @@ class Machine:
         """Set the thread privilege level execution resumes at."""
         self.base_privilege = privileged
 
-    @contextmanager
-    def privileged_mode(self):
+    def privileged_mode(self) -> "_PrivilegedMode":
         """Run a block at the privileged level (exception entry)."""
-        self.privileged = True
-        try:
-            yield
-        finally:
-            self.privileged = self.base_privilege
+        return _PrivilegedMode(self)
 
     # -- cycle accounting and interrupt timing ---------------------------
 
@@ -282,14 +296,6 @@ class Machine:
             self._n_memmanage.value += 1
             raise MemManageFault(address, size, True, value=value)
         self.memory.write(address, size, value)
-
-    def _check(self, address: int, size: int, write: bool, value: int = 0) -> None:
-        if Board.is_ppb(address) and not self.privileged:
-            self._n_bus_faults.value += 1
-            raise BusFault(address, size, write, value=value, is_ppb=True)
-        if not self.enforcement.allows(address, size, self.privileged, write):
-            self._n_memmanage.value += 1
-            raise MemManageFault(address, size, write, value=value)
 
     # -- unchecked accesses (privileged monitor / DMA / loader) ----------
 

@@ -945,23 +945,27 @@ class _BlockCompiler:
         Skips only after an iteration whose read nothing else could
         have followed before the branch (an IRQ handler touching the
         device): inline, the read ran in this same invocation; for the
-        call shape, exactly the accessor's and the header's remaining
-        cycles passed since the call.
+        call shape, the helper gets the cycles that passed since the
+        call beyond the accessor's and the header's remaining
+        instructions — zero, or exactly a vouched switch pair with its
+        SVCs when the accessor sits behind a domain switch.
         """
         wait = self._wait
         if wait.callee is None:
-            guard = "start == 0"
+            guard = " and start == 0"
             callee = "None"
+            extra = "0"
         else:
             span = sum(map(_inst_cost, self.block.instructions[1:])) + sum(
                 map(_inst_cost, wait.callee.blocks[0].instructions))
-            guard = f"machine.cycles - interp._wait_call_cycles == {span}"
+            guard = ""
             callee = self._bind(wait.callee, "F")
+            extra = f"machine.cycles - interp._wait_call_cycles - {span}"
         return [
-            f"if __b is {self._bind(wait.cont, 'B')} and {guard}:",
+            f"if __b is {self._bind(wait.cont, 'B')}{guard}:",
             f"    n = interp._wait_skip(n, {self._const(wait.address)}, "
             f"{wait.size}, {wait.cycles}, {wait.insts}, {wait.read_at}, "
-            f"{callee})",
+            f"{callee}, {extra})",
         ]
 
     def _emit_jump(self, i: int, inst: Jump) -> _Emitted:

@@ -12,6 +12,10 @@ where the hardware would transfer control to privileged software:
   emulation, §5.2);
 * when resolving a global variable's address (the variable relocation
   table indirection the instrumentation inserts, §4.4).
+
+A runtime may also vouch that one more switch pair around a polled
+device accessor is a pure replay, letting the device-wait
+fast-forward skip such polls (:meth:`RuntimeHooks.switch_pair_cycles`).
 """
 
 from __future__ import annotations
@@ -49,6 +53,30 @@ class RuntimeHooks:
     def is_switch_point(self, interp: "Interpreter", callee: Function) -> bool:
         """Whether a call to ``callee`` crosses a domain boundary."""
         return False
+
+    def switch_pair_cycles(self, interp: "Interpreter",
+                           callee: Function) -> Optional[int]:
+        """Cycles one more :meth:`before_call`/:meth:`after_return` pair
+        for ``callee`` charges, or ``None`` (the default) to refuse.
+
+        The device-wait fast-forward asks this right after a real pair
+        for the switch point ``callee`` returned, with the thread state
+        back where that pair started.  Returning a count vouches that
+        the pair is a pure replay: it charges exactly that many cycles,
+        leaves every piece of state it touches at its pre-call value,
+        changes nothing else but the runtime's own counts (see
+        :meth:`skip_switch_pairs`), and every fault it lets the callee
+        take costs cycles or ends the run — so an iteration that
+        charged only the span, both SVCs and this count ran no handler.
+        """
+        return None
+
+    def skip_switch_pairs(self, interp: "Interpreter", callee: Function,
+                          k: int) -> None:
+        """Account for ``k`` pairs for ``callee`` the fast-forward skipped
+        after :meth:`switch_pair_cycles` vouched for them: advance the
+        runtime's own counts as ``k`` real pairs would.  The interpreter
+        charges their cycles and ``svc_calls`` itself."""
 
     def handle_memmanage(self, interp: "Interpreter", fault: MemManageFault):
         """MemManage handler.  Return values:

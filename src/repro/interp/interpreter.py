@@ -426,13 +426,15 @@ class Interpreter:
         return fn
 
     def _wait_skip(self, n: int, address: int, size: int, cycles: int,
-                   insts: int, read_at: int,
-                   callee: Optional[Function]) -> int:
+                   insts: int, read_at: int, callee: Optional[Function],
+                   extra: int) -> int:
         """Device-wait fast-forward; returns the new instruction count.
 
         Called by a compiled wait-loop header (``blockcompile.wait_loop``)
         when its branch continues the loop after a real iteration that
-        ended at ``machine.cycles`` with ``n`` instructions executed.
+        ended at ``machine.cycles`` with ``n`` instructions executed;
+        ``extra`` is what that iteration charged beyond its own
+        instructions since the polling call (0 for the inline shape).
         Charges ``k`` further identical iterations at once — the
         discrete-event "advance to the next event" technique — with
         ``k`` the largest count such that every skipped read still
@@ -442,32 +444,52 @@ class Interpreter:
         instruction.  ``machine.cycles``, ``n`` and the loads counter
         advance by exactly ``k`` times the per-iteration amounts; the
         next real iteration then observes the change, fires the tick,
-        or trips the budget itself.  Nothing is skipped with an IRQ
-        pending, without a horizon (a read with a side effect, or one
-        that depends on more than time), when the read would fault
-        (fault handlers must run for real), or — polling through
-        ``callee`` — at a domain switch point, or with function
-        enter/exit observers installed unless ``repeat_call_is_noop``
-        vouches that the skipped calls of ``callee`` would record
-        nothing (the task tracer does; the cycle profiler, which counts
-        calls, does not).
+        or trips the budget itself.
+
+        Nothing is skipped with an IRQ pending, without a horizon (a
+        read with a side effect, or one that depends on more than
+        time), or with function enter/exit observers installed unless
+        ``repeat_call_is_noop`` vouches that the skipped calls of
+        ``callee`` would record nothing (the task tracer does; the cycle
+        profiler, which counts calls, does not).  An unswitched
+        iteration must have charged nothing extra (an IRQ handler ran
+        otherwise), and its read must pass under the current state
+        (fault handlers must run for real).  Polling through a domain
+        switch point, the runtime must vouch for the call/return pair
+        (``RuntimeHooks.switch_pair_cycles``: ACES does, the OPEC
+        monitor does not), no flight recorder may be attached (it logs
+        each switch), and ``extra`` must be exactly both SVC charges
+        plus the vouched pair, so no handler ran; the read then ran
+        under the callee's domain, fault-free, and so will every
+        replay.  A switched skip charges the pair per iteration (read
+        offset taken after the whole pair, which is never earlier than
+        the real read), counts both SVCs, and lets the runtime count
+        its ``k`` pairs.
         """
         machine = self.machine
         if machine.pending_irqs:
             return n
-        privileged = machine.privileged
-        if not privileged and _PPB_BASE <= address < _PPB_END:
-            return n
-        if not machine.enforcement.allows(address, size, privileged, False):
-            return n
+        switch = 0
         if callee is not None:
-            if self.hooks.is_switch_point(self, callee):
-                return n
             if (self.on_function_enter is not None
                     or self.on_function_exit is not None):
                 noop = self.repeat_call_is_noop
                 if noop is None or not noop(callee):
                     return n
+            if self.hooks.is_switch_point(self, callee):
+                pair = self.hooks.switch_pair_cycles(self, callee)
+                if pair is None or machine.recorder is not None:
+                    return n
+                switch = 2 * INSTRUCTION_COSTS["svc"] + pair
+            if extra != switch:
+                return n
+        if not switch:
+            privileged = machine.privileged
+            if not privileged and _PPB_BASE <= address < _PPB_END:
+                return n
+            if not machine.enforcement.allows(address, size, privileged,
+                                              False):
+                return n
         region = machine.memory.find(address)
         horizon_of = getattr(getattr(region, "device", None),
                              "next_change_cycle", None)
@@ -477,8 +499,10 @@ class Interpreter:
         if horizon is None:
             return n
         now = machine.cycles
+        cycles += switch
+        read_at += switch
         # Skipped read j (1-based) lands at now + (j-1)*cycles + read_at
-        # and must come strictly before the horizon.
+        # (or earlier) and must come strictly before the horizon.
         k = (horizon - now - read_at + cycles - 1) // cycles
         if machine._systick_armed:
             k = min(k, (machine._systick_next - 1 - now) // cycles)
@@ -487,6 +511,9 @@ class Interpreter:
             return n
         machine.cycles = now + k * cycles
         machine._n_loads.value += k
+        if switch:
+            machine.stats.svc_calls += 2 * k
+            self.hooks.skip_switch_pairs(self, callee, k)
         self._n_wait_skips.value += 1
         self._n_wait_iterations.value += k
         return n + k * insts

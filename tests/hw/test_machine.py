@@ -10,6 +10,7 @@ from repro.hw import (
     stm32f4_discovery,
     stm32479i_eval,
 )
+from repro.hw.board import PPB_BASE, PPB_END
 
 
 class TestPrivilege:
@@ -31,6 +32,21 @@ class TestPrivilege:
         machine.drop_privilege()
         with machine.privileged_mode():
             machine.set_base_privilege(True)
+        assert machine.privileged
+
+    def test_privileged_mode_restores_base_when_the_block_raises(
+            self, machine):
+        machine.drop_privilege()
+        with pytest.raises(MemManageFault):
+            with machine.privileged_mode():
+                assert machine.privileged
+                raise MemManageFault(0x20000000, 4, False)
+        assert not machine.privileged
+        # A handler that lifted the base before raising leaves it lifted.
+        with pytest.raises(ValueError):
+            with machine.privileged_mode():
+                machine.set_base_privilege(True)
+                raise ValueError("handler failed")
         assert machine.privileged
 
 
@@ -125,5 +141,6 @@ class TestBoards:
         board = stm32f4_discovery()
         assert board.peripheral("SysTick").core
         assert not board.peripheral("RCC").core
-        assert board.is_ppb(0xE000E010)
-        assert not board.is_ppb(0x40000000)
+        systick = board.peripheral("SysTick").base
+        assert PPB_BASE <= systick < PPB_END
+        assert not PPB_BASE <= board.peripheral("RCC").base < PPB_END

@@ -4,10 +4,13 @@ The compiled tier charges idle MMIO poll iterations in one step
 (``Interpreter._wait_skip``); the single-step reference
 (``block_compile=False``) executes every one of them.  Both must agree
 on everything simulated — the halt code or the terminal fault (type and
-message), ``machine.cycles``, ``instructions_executed`` and every
-``MachineStats`` field — on the paper's I/O-bound apps, PinLock and
-TCP-Echo, as vanilla and OPEC builds on every enforcement backend, and
-at every edge where a skip must stop short or not happen at all:
+message), ``machine.cycles``, ``instructions_executed``, every
+``MachineStats`` field and the runtime's switch and micro-emulation
+counts — on the paper's I/O-bound apps, PinLock and TCP-Echo, as
+vanilla and OPEC builds on every enforcement backend, on TCP-Echo as
+ACES1/2/3 builds (ACES2 and ACES3 poll ``ETH_Frames_Waiting`` across a
+compartment switch, which the ACES runtime vouches for), and at every
+edge where a skip must stop short or not happen at all:
 
 (a) seeded instruction budgets that run out mid-wait;
 (b) UART input starvation, ending in the ``_POLL_LIMIT`` HardFault;
@@ -18,7 +21,11 @@ at every edge where a skip must stop short or not happen at all:
 (f) a batch-runner lane against its solo run;
 (g) function observers: the cycle profiler sees every poll call, and
     the task tracer keeps the skip only where a skipped call of the
-    accessor would record nothing.
+    accessor would record nothing;
+(h) a poll across a domain switch: a runtime that refuses (OPEC), a
+    flight recorder logging every switch, and an iteration that
+    charged more than the vouched pair (an IRQ handler ran inside it,
+    or the runtime's pair cost one cycle more than it vouched).
 """
 
 import functools
@@ -29,6 +36,7 @@ import pytest
 import repro.ir as ir
 from repro import build_opec, build_vanilla
 from repro.apps import pinlock, tcp_echo
+from repro.baselines import build_aces
 from repro.eval.profiler import CycleProfiler
 from repro.eval.tracing import trace_tasks
 from repro.eval.workloads import build_app
@@ -37,7 +45,11 @@ from repro.hw.backend import KNOWN_BACKENDS
 from repro.hw.exceptions import MachineError
 from repro.hw.peripherals import UART, RegisterFile, basic
 from repro.interp import BatchRunner, Interpreter, RuntimeHooks
+from repro.interp.blockcompile import wait_loop
+from repro.interp.costs import INSTRUCTION_COSTS
 from repro.ir import I32, VOID
+from repro.obs.events import SVC_ENTER
+from repro.obs.recorder import FlightRecorder
 from repro.partition import OperationSpec
 from repro.pipeline import default_hooks, prepare_machine
 
@@ -46,7 +58,14 @@ APPS = {
     "PinLock": lambda: pinlock.build(rounds=3),
     "TCP-Echo": lambda: tcp_echo.build(valid=2, invalid=3),
 }
-BUILDS = [(name, flavour, backend) for name in APPS for flavour in FLAVOURS
+ACES_STRATEGIES = ("ACES1", "ACES2", "ACES3")
+#: The strategies that put TCP-Echo's ``Rx_Task`` and its accessor
+#: ``ETH_Frames_Waiting`` in different compartments: every poll
+#: switches, so every skip of them replays vouched switch pairs.
+SWITCHED_POLLS = ("ACES2", "ACES3")
+APP_BUILDS = ([(name, flavour) for name in APPS for flavour in FLAVOURS]
+              + [("TCP-Echo", strategy) for strategy in ACES_STRATEGIES])
+BUILDS = [(name, flavour, backend) for name, flavour in APP_BUILDS
           for backend in KNOWN_BACKENDS]
 BUDGETS_PER_BUILD = 12
 #: Where a poll iteration executes: a budget that runs out in one of
@@ -66,6 +85,8 @@ def _app(name):
 def _build(module, flavour, specs, board=BOARD):
     if flavour == "vanilla":
         return build_vanilla(module, board)
+    if flavour in ACES_STRATEGIES:
+        return build_aces(module, board, flavour).image
     return build_opec(module, board, specs).image
 
 
@@ -76,10 +97,11 @@ def _image(name, flavour):
 
 
 def _observe(image, setup, backend, block_compile,
-             max_instructions=200_000_000, runtime=None):
+             max_instructions=200_000_000, runtime=None, recorder=None):
     """One run to halt or terminal fault: (observables, interpreter).
     ``runtime`` builds the hooks (default: the image's own runtime)."""
-    machine = prepare_machine(image, setup=setup, backend=backend)
+    machine = prepare_machine(image, setup=setup, backend=backend,
+                              recorder=recorder)
     hooks = (runtime or default_hooks)(machine, image)
     interp = Interpreter(machine, image, hooks,
                          max_instructions=max_instructions,
@@ -93,7 +115,15 @@ def _observe(image, setup, backend, block_compile,
         "cycles": machine.cycles,
         "instructions": interp.instructions_executed,
         "stats": machine.stats.as_dict(),
+        "runtime": _runtime_counts(interp.hooks),
     }, interp
+
+
+def _runtime_counts(hooks):
+    """The runtime's own switch and micro-emulation counts (None where
+    a runtime keeps no such count)."""
+    return (getattr(hooks, "switch_count", None),
+            getattr(hooks, "micro_emulations", None))
 
 
 def _differential(image, setup, backend, **kwargs):
@@ -110,18 +140,24 @@ def _skips(interp) -> int:
 
 @pytest.mark.parametrize("name,flavour,backend", BUILDS)
 def test_full_run_identical(name, flavour, backend):
+    """Under ACES2 and ACES3 every ``ETH_Frames_Waiting`` poll switches
+    compartments, and a skip charges the backend's switch cost
+    (60/84/16 cycles on mpu/pmp/overlay) twice per skipped pair."""
     app = _app(name)
     observed, interp = _differential(_image(name, flavour), app.setup,
                                      backend)
     assert observed["outcome"][0] == "halt"
     assert _skips(interp) > 0
+    if flavour in SWITCHED_POLLS:
+        waits = interp.compile_metrics.counter("waitskip.iterations").value
+        assert observed["runtime"][0] > waits > 0
 
 
-@pytest.mark.parametrize("name,flavour", [(n, f) for n in APPS
-                                           for f in FLAVOURS])
+@pytest.mark.parametrize("name,flavour", APP_BUILDS)
 def test_budget_runs_out_mid_wait(name, flavour):
     """(a) The skip stops where the budget leaves no whole iteration;
-    the real iteration then trips it on the same instruction.  The
+    the real iteration then trips it on the same instruction — also in
+    the accessor, past a switch a skip would have replayed.  The
     budgets take turns over the backends."""
     app = _app(name)
     image = _image(name, flavour)
@@ -167,13 +203,15 @@ def _uart_ticks_module(*, call: bool, nbytes: int, reload: int):
     accessor function) while SysTick fires every ``reload + 1`` cycles;
     halts with ``ticks * 4096 + sum(bytes)``."""
     module = ir.Module("uartticks")
-    ticks = module.add_global("ticks", I32, 0)
-    _h, b = ir.define(module, "SysTick_Handler", VOID, [], irq_number=15)
+    ticks = module.add_global("ticks", I32, 0, source_file="tick.c")
+    _h, b = ir.define(module, "SysTick_Handler", VOID, [], irq_number=15,
+                      source_file="tick.c")
     b.store(b.add(b.load(ticks), 1), ticks)
     b.ret_void()
-    status, b = ir.define(module, "uart_status", I32, [])
+    status, b = ir.define(module, "uart_status", I32, [],
+                          source_file="uart.c")
     b.ret(b.and_(b.load(b.mmio(USART2)), RXNE))
-    _m, b = ir.define(module, "main", I32, [])
+    _m, b = ir.define(module, "main", I32, [], source_file="main.c")
     total = b.alloca(I32)
     b.store(0, total)
     b.store(reload, b.mmio(0xE000E014))  # RVR
@@ -209,6 +247,28 @@ def test_systick_fires_mid_wait(call, backend):
     assert code % 4096 == sum(data)
     assert code // 4096 > 2 * len(data)  # several ticks per byte wait
     assert _skips(interp) > code // 4096  # every tick split a wait
+
+
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+def test_systick_fires_mid_switched_wait(backend):
+    """(c) As above as an ACES2 build, which gives ``uart.c`` a
+    compartment of its own (ACES1 and ACES3 put it in ``main``'s):
+    ticks split waits whose every poll switches compartments, and the
+    iteration a tick lands in charges its handler on top of the pair,
+    so it runs for real."""
+    data = b"wait"
+
+    def setup(machine):
+        machine.attach_device("USART2", UART()).feed(data)
+
+    module = _uart_ticks_module(call=True, nbytes=len(data), reload=2_998)
+    observed, interp = _differential(_build(module, "ACES2", []), setup,
+                                     backend)
+    code = observed["outcome"][1]
+    assert code % 4096 == sum(data)
+    assert code // 4096 > 2 * len(data)
+    assert _skips(interp) > code // 4096
+    assert observed["runtime"][0] > _skips(interp)
 
 
 def _drain_wait_module(*, call: bool, reload: int):
@@ -519,17 +579,182 @@ def test_polling_a_switch_point_never_skips(backend):
 
 
 @pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+def test_recorder_keeps_every_switch(backend):
+    """(h) A flight recorder logs an SVC enter and return event per
+    switch, so with one attached the ACES2 poll never skips and the
+    event stream equals single-step's."""
+    app = _app("TCP-Echo")
+    image = _image("TCP-Echo", "ACES2")
+    runs = []
+    for block_compile in (True, False):
+        recorder = FlightRecorder()
+        observed, interp = _observe(image, app.setup, backend,
+                                    block_compile, recorder=recorder)
+        events = [(e.seq, e.ts, e.ph, e.kind, e.name, e.domain, e.args)
+                  for e in recorder.events()]
+        runs.append((observed, events, recorder.dropped))
+        if block_compile:
+            assert _skips(interp) == 0
+    assert runs[0] == runs[1]
+    observed, events, dropped = runs[0]
+    assert observed["outcome"][0] == "halt" and dropped == 0
+    assert sum(e[3] == SVC_ENTER for e in events) \
+        == observed["runtime"][0] > 1_000
+
+
+class SwitchingRuntime(RuntimeHooks):
+    """Every call of ``accessor`` switches domains at ``cost`` cycles
+    each way, and the runtime vouches for a pair at ``2 * cost``;
+    ``surcharge`` extra cycles on each return make that a lie."""
+
+    def __init__(self, accessor: str, cost: int = 40, surcharge: int = 0):
+        self.accessor = accessor
+        self.cost = cost
+        self.surcharge = surcharge
+        self.switch_count = 0
+
+    def is_switch_point(self, interp, callee):
+        return callee.name == self.accessor
+
+    def before_call(self, interp, callee, args):
+        interp.machine.consume(self.cost)
+        self.switch_count += 1
+        return args
+
+    def after_return(self, interp, callee):
+        interp.machine.consume(self.cost + self.surcharge)
+
+    def switch_pair_cycles(self, interp, callee):
+        return 2 * self.cost
+
+    def skip_switch_pairs(self, interp, callee, k):
+        self.switch_count += k
+
+
+@pytest.mark.parametrize("surcharge", [0, 1],
+                         ids=["vouched", "one-cycle-more"])
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+def test_switched_poll_skips_only_the_vouched_pair(backend, surcharge):
+    """(h) A switched iteration skips only when it charged exactly both
+    SVCs plus the vouched pair; one cycle more and every poll runs."""
+    def setup(machine):
+        machine.attach_device("USART2", PendingFlag())
+
+    image = _build(_flag_poll_module(USART2, call=True), "vanilla", [])
+    observed, interp = _differential(
+        image, setup, backend,
+        runtime=lambda machine, image: SwitchingRuntime(
+            "flag_status", surcharge=surcharge))
+    assert observed["outcome"] == ("halt", 0)
+    switches = observed["runtime"][0]
+    assert switches > 100
+    assert observed["stats"]["svc_calls"] == 2 * switches
+    if surcharge:
+        assert _skips(interp) == 0
+    else:
+        assert _skips(interp) > 0
+
+
+class Latch:
+    """A register that reads back its last write: only a store changes
+    it, so it offers a horizon no time reaches and leaves a handler's
+    store to the fast-forward's guards."""
+
+    def __init__(self):
+        self.machine = None
+        self.value = 0
+
+    def mmio_read(self, offset: int, size: int) -> int:
+        return self.value
+
+    def mmio_write(self, offset: int, size: int, value: int) -> None:
+        self.value = value
+
+    def next_change_cycle(self, offset: int):
+        return 1 << 62
+
+
+def _latch_wait_module(address: int, reload: int):
+    """``while (flag_status() == 0);`` where only the SysTick handler
+    sets the flag, so a tick between the read and the branch leaves the
+    branch acting on a value the device no longer returns."""
+    module = ir.Module("latchwait")
+    _h, b = ir.define(module, "SysTick_Handler", VOID, [], irq_number=15)
+    b.store(1, b.mmio(address))
+    b.ret_void()
+    status, b = ir.define(module, "flag_status", I32, [])
+    b.ret(b.load(b.mmio(address)))
+    _m, b = ir.define(module, "main", I32, [])
+    b.store(reload, b.mmio(0xE000E014))
+    b.store(7, b.mmio(0xE000E010))
+    with b.while_loop(lambda: b.icmp("eq", b.call(status), 0)):
+        pass
+    b.halt(0)
+    return module
+
+
+def _switched_iteration(module, cost: int) -> int:
+    """Cycles of one iteration of ``module``'s wait loop when the
+    polled accessor switches domains at ``cost`` cycles each way."""
+    wait = next(filter(None, (wait_loop(block)
+                              for function in module.defined_functions()
+                              for block in function.blocks)))
+    return wait.cycles + 2 * INSTRUCTION_COSTS["svc"] + 2 * cost
+
+
+def test_horizon_at_every_offset_of_a_switched_iteration():
+    """(h) The skip never lets a switched read land at or past the
+    device's horizon: the flag flips at every offset of the iteration,
+    and each run matches single-step."""
+    cost = 4
+    module = _flag_poll_module(USART2, call=True)
+    iteration = _switched_iteration(module, cost)
+    image = _build(module, "vanilla", [])
+    for stamp in range(40_000, 40_000 + iteration):
+        def setup(machine, stamp=stamp):
+            machine.attach_device("USART2", PendingFlag(stamp))
+
+        observed, interp = _differential(
+            image, setup, "mpu",
+            runtime=lambda machine, image: SwitchingRuntime(
+                "flag_status", cost=cost))
+        assert observed["outcome"] == ("halt", 0)
+        assert _skips(interp) > 0
+
+
+def test_irq_inside_a_switched_iteration():
+    """(h) A tick handler that sets the flag inside a switched iteration
+    adds its cycles to the pair's, so that iteration never skips.  The
+    tick periods step through every offset of the iteration."""
+    cost = 4
+    tim2 = BOARD.peripheral("TIM2").base
+    iteration = _switched_iteration(_latch_wait_module(tim2, 200), cost)
+    skips = 0
+    for reload in range(200, 200 + iteration):
+        def setup(machine):
+            machine.attach_device("TIM2", Latch())
+
+        image = build_vanilla(_latch_wait_module(tim2, reload), BOARD)
+        observed, interp = _differential(
+            image, setup, "mpu",
+            runtime=lambda machine, image: SwitchingRuntime(
+                "flag_status", cost=cost))
+        assert observed["outcome"] == ("halt", 0)
+        skips += _skips(interp)
+    assert skips >= iteration  # each run skips up to its first tick
+
+
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
 def test_batch_lane_equals_solo(backend):
     """(f) Lanes interleave at block granularity; each lane's skips see
     only its own machine, so every lane equals its solo run."""
-    builds = [(name, flavour) for name in APPS for flavour in FLAVOURS]
     runner = BatchRunner(block_compile=True)
-    for name, flavour in builds:
+    for name, flavour in APP_BUILDS:
         runner.add(_image(name, flavour), name=f"{name}:{flavour}",
                    setup=_app(name).setup, max_instructions=200_000_000,
                    backend=backend)
     result = runner.run()
-    for lane, (name, flavour) in zip(result.lanes, builds):
+    for lane, (name, flavour) in zip(result.lanes, APP_BUILDS):
         assert lane.error is None, lane.name
         solo, _ = _observe(_image(name, flavour), _app(name).setup,
                            backend, True)
@@ -538,5 +763,6 @@ def test_batch_lane_equals_solo(backend):
             "cycles": lane.machine.cycles,
             "instructions": lane.interpreter.instructions_executed,
             "stats": lane.machine.stats.as_dict(),
+            "runtime": _runtime_counts(lane.hooks),
         } == solo, lane.name
         assert _skips(lane.interpreter) > 0
