@@ -20,7 +20,7 @@ from ..hw.peripherals import GPIO, RCC, UART
 from ..ir import I8, I32, Module, VOID, array, define
 from ..partition.operations import OperationSpec
 from .base import Application
-from .hal.crypto import add_crypto, fnv1a_host
+from .hal.crypto import add_crypto
 from .hal.libc import add_libc
 from .hal.system import add_system_hal
 from .hal.uart import add_uart_hal
@@ -189,8 +189,3 @@ def build(rounds: int = 100, vulnerable: bool = False) -> Application:
         check=check,
         description="Smart lock driven over the UART (Listing 1).",
     )
-
-
-def key_hash() -> int:
-    """Host-side value of KEY after Key_Init (the attack's target)."""
-    return fnv1a_host(CORRECT_PIN)

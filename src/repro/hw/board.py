@@ -77,9 +77,6 @@ class Board:
                 return peripheral
         return None
 
-    def general_peripherals(self) -> list[Peripheral]:
-        return [p for p in self.peripherals.values() if not p.core]
-
     def core_peripherals(self) -> list[Peripheral]:
         return [p for p in self.peripherals.values() if p.core]
 

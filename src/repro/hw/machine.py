@@ -114,9 +114,7 @@ class Machine:
     ``backend`` selects the memory-isolation substrate — a registry
     name (``"mpu"`` / ``"pmp"`` / ``"overlay"``) or a ready
     :class:`~repro.hw.backend.EnforcementBackend` instance.  It lives
-    in ``machine.enforcement``; ``machine.mpu`` remains as a
-    read/write alias because the MPU was the only substrate for most
-    of this codebase's life.
+    in ``machine.enforcement``, the one name every caller uses.
     """
 
     def __init__(self, board: Board, backend: BackendSpec = DEFAULT_BACKEND):
@@ -186,20 +184,6 @@ class Machine:
         """
         for device in self.devices.values():
             device.machine = None
-
-    # -- enforcement backend alias ------------------------------------
-    #
-    # Historical name: every caller said `machine.mpu` when the MPU was
-    # the only substrate.  The property keeps that spelling working
-    # (including `use_pmp`-style swaps) over the generic attribute.
-
-    @property
-    def mpu(self):
-        return self.enforcement
-
-    @mpu.setter
-    def mpu(self, backend) -> None:
-        self.enforcement = backend
 
     # -- privilege ----------------------------------------------------
     #

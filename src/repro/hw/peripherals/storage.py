@@ -51,10 +51,6 @@ class SDCard:
 
     # -- host side ---------------------------------------------------
 
-    def load_image(self, image: bytes, offset_block: int = 0) -> None:
-        start = offset_block * BLOCK_SIZE
-        self.image[start : start + len(image)] = image
-
     def read_block_host(self, block: int) -> bytes:
         start = block * BLOCK_SIZE
         return bytes(self.image[start : start + BLOCK_SIZE])

@@ -310,5 +310,5 @@ class PmpProtection(EnforcementBackend):
 def use_pmp(machine) -> PmpProtection:
     """Swap a machine's MPU for the PMP backend (RISC-V port demo)."""
     pmp = PmpProtection()
-    machine.mpu = pmp
+    machine.enforcement = pmp
     return pmp

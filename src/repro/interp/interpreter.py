@@ -636,12 +636,6 @@ class Interpreter:
 
     # -- faulting memory access with handler retry ------------------------
 
-    def _access(self, operation: Callable[[], Optional[int]]) -> Optional[int]:
-        try:
-            return operation()
-        except (MemManageFault, BusFault) as fault:
-            return self._retry_access(operation, fault)
-
     def _retry_access(self, operation: Callable[[], Optional[int]],
                       fault: Exception) -> Optional[int]:
         """Consult the monitor about ``fault``, then retry ``operation``.
@@ -931,12 +925,6 @@ class Interpreter:
             mask = inst.type.mask if isinstance(inst.type, IntType) else _WORD
             return signed & mask
         raise HardFault(f"unknown cast {kind}")
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def current_function(self) -> Optional[Function]:
-        return self.frames[-1].function if self.frames else None
 
 
 def _pad4(size: int) -> int:

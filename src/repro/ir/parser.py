@@ -86,10 +86,6 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
-
     def startswith(self, token: str) -> bool:
         self.skip_ws()
         return self.text.startswith(token, self.pos)

@@ -74,9 +74,6 @@ class Operation:
     def accessible_globals(self):
         return self.resources.globals_all
 
-    def accessible_global_bytes(self) -> int:
-        return sum(g.size for g in self.resources.globals_all if not g.is_const)
-
     def __hash__(self) -> int:
         return self.index
 

@@ -12,6 +12,12 @@ and enforces, at the exact hardware trap points the paper uses:
   round-robin over the reserved regions (§5.2);
 * load/store emulation for core peripherals in the BusFault handler
   (§5.2) — unprivileged application code never runs privileged.
+
+Each switch direction has one body, traced or not, SysTick armed or
+not: the data phases are :class:`~repro.runtime.sync.DataSynchronizer`'s
+methods, which charge cycles per item, and the ``op.*`` spans are
+emitted only when ``machine.recorder`` is set.  Spans never charge
+cycles, so a traced run simulates exactly what an untraced one does.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ..obs.events import (
 from ..partition.operations import Operation
 from .context import SwitchContext
 from .stack import StackProtector
-from .sync import DataSynchronizer, SwitchPlan
+from .sync import DataSynchronizer
 
 
 class OpecMonitor(RuntimeHooks):
@@ -70,13 +76,8 @@ class OpecMonitor(RuntimeHooks):
         # operation; a compiling build hoists the slot load, so the
         # per-access cost is paid once per (operation, variable).
         self._addr_cache: dict[GlobalVariable, int] = {}
-        # Switch phases (sanitise/sync/reloc/redirect) resolve only
-        # policy- and layout-level data, all fixed once the image is
-        # linked — so each operation's sequence is compiled to a
-        # SwitchPlan on first use, with the backend's base switch cost
-        # folded in.  Region sets are likewise pure in (operation,
-        # stack mask): memoised, with a fresh list per load.
-        self._plans: dict[int, SwitchPlan] = {}
+        # Region sets are pure in (operation, stack mask): memoised,
+        # with a fresh list per load.
         self._region_sets: dict[tuple[int, int], list[MPURegion]] = {}
 
     @property
@@ -139,61 +140,8 @@ class OpecMonitor(RuntimeHooks):
         operation = self.image.operation_for_entry(callee)
         return operation is not None and not operation.is_default
 
-    def _plan(self, operation: Operation) -> SwitchPlan:
-        plan = self._plans.get(operation.index)
-        if plan is None:
-            plan = self.sync.compile_plan(
-                operation, self.machine.enforcement.switch_base_cost)
-            self._plans[operation.index] = plan
-        return plan
-
     def before_call(self, interp, callee: Function,
                     args: list[int]) -> list[int]:
-        machine = self.machine
-        if machine.recorder is not None or machine._systick_armed:
-            # Span recording samples the cycle counter between phases,
-            # and an armed SysTick makes the fire point depend on when
-            # each charge lands — both need the interpreted sequence.
-            return self._before_call_traced(interp, callee, args)
-        target = self.image.operation_for_entry(callee)
-        assert target is not None
-        start_cycles = machine.cycles
-        cur_plan = self._plan(self.current)
-        tgt_plan = self._plan(target)
-        machine.consume(tgt_plan.switch_base_cost)
-        self._n_switches.value += 1
-        self._addr_cache.clear()
-
-        sync = self.sync
-        sync.run_sanitize(cur_plan)
-        sync.run_copies(cur_plan.writeback, cur_plan.sync_words,
-                        cur_plan.sync_bytes)
-        sync.run_copies(tgt_plan.refresh, tgt_plan.sync_words,
-                        tgt_plan.sync_bytes)
-        sync.run_reloc(tgt_plan)
-        sync.run_redirect(tgt_plan)
-
-        new_args, new_sp, relocations = self.stack.relocate_arguments(
-            target, args, interp.sp
-        )
-        context = SwitchContext(
-            previous=self.current,
-            saved_sp=interp.sp,
-            saved_stack_mask=self.current_stack_mask,
-            relocations=relocations,
-        )
-        self.context_stack.append(context)
-        interp.sp = new_sp
-
-        boundary = self.stack.boundary_below(context.saved_sp)
-        self.current_stack_mask = self.stack.mask_for(boundary)
-        self.current = target
-        self._load_mpu(target, self.current_stack_mask)
-        self._h_switch.observe(machine.cycles - start_cycles)
-        return new_args
-
-    def _before_call_traced(self, interp, callee: Function,
-                            args: list[int]) -> list[int]:
         target = self.image.operation_for_entry(callee)
         assert target is not None
         machine = self.machine
@@ -201,31 +149,19 @@ class OpecMonitor(RuntimeHooks):
         start_cycles = machine.cycles
         switch_name = f"{self.current.name}->{target.name}"
         if recorder is not None:
-            recorder.begin(OP_SWITCH, switch_name, machine.cycles,
+            recorder.begin(OP_SWITCH, switch_name, start_cycles,
                            args={"from": self.current.name,
                                  "to": target.name,
                                  "entry": callee.name})
-        machine.consume(machine.enforcement.switch_base_cost)
         self._n_switches.value += 1
-        self._addr_cache.clear()
 
         # Figure 7(b): sanitise the suspended operation's shadows, write
         # them back, then refresh the entered operation's shadows.
-        if recorder is not None:
-            recorder.begin(OP_SANITISE, self.current.name, machine.cycles)
-        self.sync.sanitize_operation(self.current)
-        if recorder is not None:
-            recorder.end(OP_SANITISE, self.current.name, machine.cycles)
-            recorder.begin(OP_SYNC, switch_name, machine.cycles)
-        self.sync.write_back(self.current, sanitize=False)
-        self.sync.refresh(target)
-        self.sync.update_relocation_table(target)
-        self.sync.redirect_pointers(target)
-        if recorder is not None:
-            recorder.end(OP_SYNC, switch_name, machine.cycles)
-            recorder.begin(OP_STACK, target.name, machine.cycles)
+        self._sync_phases(self.current, target, switch_name)
 
         # Figure 8: relocate stack-passed buffers and mask sub-regions.
+        if recorder is not None:
+            recorder.begin(OP_STACK, target.name, machine.cycles)
         new_args, new_sp, relocations = self.stack.relocate_arguments(
             target, args, interp.sp
         )
@@ -253,39 +189,6 @@ class OpecMonitor(RuntimeHooks):
         return new_args
 
     def after_return(self, interp, callee: Function) -> None:
-        machine = self.machine
-        if machine.recorder is not None or machine._systick_armed:
-            return self._after_return_traced(interp, callee)
-        if not self.context_stack:
-            raise SecurityAbort("operation exit without matching entry")
-        context = self.context_stack.pop()
-        start_cycles = machine.cycles
-        previous = context.previous
-        cur_plan = self._plan(self.current)
-        prev_plan = self._plan(previous)
-        machine.consume(cur_plan.switch_base_cost)
-        self._addr_cache.clear()
-
-        sync = self.sync
-        sync.run_sanitize(cur_plan)
-        sync.run_copies(cur_plan.writeback, cur_plan.sync_words,
-                        cur_plan.sync_bytes)
-        sync.run_copies(prev_plan.refresh, prev_plan.sync_words,
-                        prev_plan.sync_bytes)
-        sync.run_reloc(prev_plan)
-        sync.run_redirect(prev_plan)
-
-        self.stack.copy_back(context.relocations)
-        interp.sp = context.saved_sp
-        self.current = previous
-        self.current_stack_mask = context.saved_stack_mask
-        self._load_mpu(previous, self.current_stack_mask)
-        # General-purpose registers are cleared on exit (frame registers
-        # are dropped with the frame; charge the zeroing cost).
-        machine.consume(13)
-        self._h_switch.observe(machine.cycles - start_cycles)
-
-    def _after_return_traced(self, interp, callee: Function) -> None:
         if not self.context_stack:
             raise SecurityAbort("operation exit without matching entry")
         context = self.context_stack.pop()
@@ -295,30 +198,18 @@ class OpecMonitor(RuntimeHooks):
         previous = context.previous
         switch_name = f"{self.current.name}->{previous.name}"
         if recorder is not None:
-            recorder.begin(OP_RETURN, switch_name, machine.cycles,
+            recorder.begin(OP_RETURN, switch_name, start_cycles,
                            args={"from": self.current.name,
                                  "to": previous.name,
                                  "entry": callee.name})
-        machine.consume(machine.enforcement.switch_base_cost)
-        self._addr_cache.clear()
 
         # Figure 7(c): sanitise and write back the exiting operation,
         # refresh the resumed one, restore its relocation-table view.
-        if recorder is not None:
-            recorder.begin(OP_SANITISE, self.current.name, machine.cycles)
-        self.sync.sanitize_operation(self.current)
-        if recorder is not None:
-            recorder.end(OP_SANITISE, self.current.name, machine.cycles)
-            recorder.begin(OP_SYNC, switch_name, machine.cycles)
-        self.sync.write_back(self.current, sanitize=False)
-        self.sync.refresh(previous)
-        self.sync.update_relocation_table(previous)
-        self.sync.redirect_pointers(previous)
-        if recorder is not None:
-            recorder.end(OP_SYNC, switch_name, machine.cycles)
-            recorder.begin(OP_STACK, previous.name, machine.cycles)
+        self._sync_phases(self.current, previous, switch_name)
 
         # Copy relocated buffers back and restore the stack.
+        if recorder is not None:
+            recorder.begin(OP_STACK, previous.name, machine.cycles)
         self.stack.copy_back(context.relocations)
         interp.sp = context.saved_sp
         self.current = previous
@@ -336,6 +227,30 @@ class OpecMonitor(RuntimeHooks):
         if recorder is not None:
             recorder.end(OP_RETURN, switch_name, machine.cycles)
         self._h_switch.observe(machine.cycles - start_cycles)
+
+    def _sync_phases(self, leaving: Operation, entering: Operation,
+                     switch_name: str) -> None:
+        """Charge the backend's switch cost, then run Figure 7's data
+        phases: ``op.sanitise`` over ``leaving``'s shadows, and one
+        ``op.sync`` span for its write-back plus ``entering``'s
+        refresh, relocation-table update and pointer redirection."""
+        machine = self.machine
+        recorder = machine.recorder
+        sync = self.sync
+        machine.consume(machine.enforcement.switch_base_cost)
+        self._addr_cache.clear()
+        if recorder is not None:
+            recorder.begin(OP_SANITISE, leaving.name, machine.cycles)
+        sync.sanitize_operation(leaving)
+        if recorder is not None:
+            recorder.end(OP_SANITISE, leaving.name, machine.cycles)
+            recorder.begin(OP_SYNC, switch_name, machine.cycles)
+        sync.write_back(leaving, sanitize=False)
+        sync.refresh(entering)
+        sync.update_relocation_table(entering)
+        sync.redirect_pointers(entering)
+        if recorder is not None:
+            recorder.end(OP_SYNC, switch_name, machine.cycles)
 
     # -- enforcement loading ----------------------------------------------
 

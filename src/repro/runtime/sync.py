@@ -4,9 +4,18 @@ External (shared) globals have one *public* original plus a shadow copy
 per accessing operation.  On a switch the monitor writes the suspended
 operation's shadows back to the public copies — after checking each
 value against its developer-provided valid range — then refreshes the
-resumed/entered operation's shadows from the public copies, and finally
-redirects any pointer fields that still point into another operation's
-data section (§5.3).
+resumed/entered operation's shadows from the public copies, points the
+relocation table at them, and finally redirects any pointer fields that
+still point into another operation's data section (§5.3).
+
+The phase methods below are the only switch implementation: the
+monitor's call and return paths and the §7 thread switch all run them.
+Every address a phase touches is policy- or layout-level data, fixed
+once the image is linked, so it is resolved once per operation into an
+:class:`_OperationMemo`.  Cycles are still charged per item — per
+check, per copy, per relocation slot, per pointer-field read and per
+rewrite — so an armed SysTick sees the same charge sequence whether or
+not a flight recorder is attached.
 """
 
 from __future__ import annotations
@@ -21,38 +30,47 @@ from ..ir.values import GlobalVariable
 from ..partition.operations import Operation
 
 
-class SwitchPlan:
-    """Precompiled switch-phase work for one operation (§5.2–§5.3).
+class _OperationMemo:
+    """Every address one operation's switch phases touch, in the
+    policy's order (which fixes the memory-write sequence)."""
 
-    Every policy and layout lookup the monitor's switch path performs
-    is resolved once, the first time an operation participates in a
-    switch: sanitisation checks, shadow↔public copy pairs, relocation-
-    table slot values, pointer-field addresses, and the backend's base
-    switch cost.  The executing side charges each phase's cycle cost in
-    one batch, which is observationally identical to per-item charging
-    as long as nothing samples the cycle counter mid-phase — the
-    monitor therefore only takes the planned path when no recorder is
-    attached and the SysTick timer is unarmed.
-    """
+    __slots__ = ("checks", "copies", "own", "reloc", "fields")
 
-    __slots__ = (
-        "op_index", "op_name", "switch_base_cost", "sanitize_checks",
-        "writeback", "refresh", "sync_words", "sync_bytes",
-        "reloc_writes", "redirect_fields", "own_shadows",
-    )
-
-    def __init__(self, op_index: int, op_name: str, switch_base_cost: int):
-        self.op_index = op_index
-        self.op_name = op_name
-        self.switch_base_cost = switch_base_cost
-        self.sanitize_checks: list[tuple[int, int, int, int, str]] = []
-        self.writeback: list[tuple[int, int, int]] = []
-        self.refresh: list[tuple[int, int, int]] = []
-        self.sync_words = 0
-        self.sync_bytes = 0
-        self.reloc_writes: list[tuple[int, int]] = []
-        self.redirect_fields: list[int] = []
-        self.own_shadows: dict[GlobalVariable, int] = {}
+    def __init__(self, image: OpecImage, operation: Operation):
+        policy = image.policy
+        # (shadow, size, lo, hi, variable name) per range-checked scalar.
+        self.checks: list[tuple[int, int, int, int, str]] = []
+        # (shadow, public, size, its check or None) per external.
+        self.copies: list[tuple[int, int, int, Optional[tuple]]] = []
+        # The operation's own shadow of each external.
+        self.own: dict[GlobalVariable, int] = {}
+        for gvar in policy.external_vars(operation):
+            shadow = image.shadow_address(operation, gvar)
+            check = None
+            if gvar.sanitize_range is not None and gvar.size <= 4:
+                lo, hi = gvar.sanitize_range
+                check = (shadow, gvar.size, lo, hi, gvar.name)
+                self.checks.append(check)
+            self.copies.append(
+                (shadow, image.public_addresses[gvar], gvar.size, check))
+            self.own[gvar] = shadow
+        # (slot, target) per relocation-table slot: the operation's own
+        # shadow, or the public original when it does not access it.
+        self.reloc: list[tuple[int, int]] = [
+            (slot, self.own[gvar] if gvar in self.own
+             else image.public_addresses[gvar])
+            for gvar, slot in image.reloc_slots.items()
+        ]
+        # Address of every pointer field in the operation's section.
+        self.fields: list[int] = []
+        for gvar in policy.section_vars(operation):
+            if not gvar.pointer_field_offsets:
+                continue
+            base = image.shadow_addresses.get((operation.index, gvar))
+            if base is None:
+                base = image.global_address(gvar)
+            self.fields.extend(base + offset
+                               for offset in gvar.pointer_field_offsets)
 
 
 class DataSynchronizer:
@@ -61,7 +79,6 @@ class DataSynchronizer:
     def __init__(self, machine: Machine, image: OpecImage):
         self.machine = machine
         self.image = image
-        self.policy = image.policy
         # Address index over every shadow copy and public original so
         # pointer fields can be retargeted across sections (§5.3).
         self._intervals: list[tuple[int, int, Optional[int], GlobalVariable]] = []
@@ -71,28 +88,33 @@ class DataSynchronizer:
             self._intervals.append((addr, addr + gvar.size, None, gvar))
         self._intervals.sort()
         self._bytes_copied = machine.metrics.counter("monitor.sync_bytes_copied")
+        self._memos: dict[int, _OperationMemo] = {}
+
+    def _memo(self, operation: Operation) -> _OperationMemo:
+        memo = self._memos.get(operation.index)
+        if memo is None:
+            memo = _OperationMemo(self.image, operation)
+            self._memos[operation.index] = memo
+        return memo
 
     # -- words ------------------------------------------------------------
 
     def _copy(self, src: int, dst: int, size: int) -> None:
-        blob = self.machine.read_bytes(src, size)
-        self.machine.write_bytes(dst, blob)
+        machine = self.machine
+        machine.write_bytes(dst, machine.read_bytes(src, size))
         self._bytes_copied.value += size
-        self.machine.consume(SYNC_WORD_COST * ((size + 3) // 4))
+        machine.consume(SYNC_WORD_COST * ((size + 3) // 4))
 
     # -- sanitisation -------------------------------------------------------
 
-    def sanitize(self, operation: Operation, gvar: GlobalVariable) -> None:
+    def _check(self, operation: Operation, check: tuple) -> None:
         """Abort if a scalar shadow value left its declared range."""
-        if gvar.sanitize_range is None or gvar.size > 4:
-            return
-        shadow = self.image.shadow_address(operation, gvar)
-        value = self.machine.read_direct(shadow, gvar.size)
+        shadow, size, lo, hi, name = check
+        value = self.machine.read_direct(shadow, size)
         self.machine.consume(SANITIZE_CHECK_COST)
-        lo, hi = gvar.sanitize_range
         if not lo <= value <= hi:
             raise SecurityAbort(
-                f"sanitisation failed for @{gvar.name} in operation "
+                f"sanitisation failed for @{name} in operation "
                 f"{operation.name}: value {value} outside [{lo}, {hi}]"
             )
 
@@ -104,37 +126,31 @@ class DataSynchronizer:
         all shadows before copying any is equivalent to the interleaved
         order because a failed check aborts the run.
         """
-        for gvar in self.policy.external_vars(operation):
-            self.sanitize(operation, gvar)
+        for check in self._memo(operation).checks:
+            self._check(operation, check)
 
     # -- Figure 7 steps ------------------------------------------------------
 
     def write_back(self, operation: Operation, *,
                    sanitize: bool = True) -> None:
         """Shadows of ``operation`` → public copies (sanitised)."""
-        for gvar in self.policy.external_vars(operation):
-            if sanitize:
-                self.sanitize(operation, gvar)
-            shadow = self.image.shadow_address(operation, gvar)
-            self._copy(shadow, self.image.public_addresses[gvar], gvar.size)
+        for shadow, public, size, check in self._memo(operation).copies:
+            if sanitize and check is not None:
+                self._check(operation, check)
+            self._copy(shadow, public, size)
 
     def refresh(self, operation: Operation) -> None:
         """Public copies → shadows of ``operation``."""
-        for gvar in self.policy.external_vars(operation):
-            shadow = self.image.shadow_address(operation, gvar)
-            self._copy(self.image.public_addresses[gvar], shadow, gvar.size)
+        for shadow, public, size, _check in self._memo(operation).copies:
+            self._copy(public, shadow, size)
 
     def update_relocation_table(self, operation: Operation) -> None:
         """Point every external's slot at ``operation``'s shadow, or at
         the public original when the operation does not access it."""
-        accessible = set(self.policy.external_vars(operation))
-        for gvar, slot in self.image.reloc_slots.items():
-            if gvar in accessible:
-                target = self.image.shadow_address(operation, gvar)
-            else:
-                target = self.image.public_addresses[gvar]
-            self.machine.write_direct(slot, 4, target)
-            self.machine.consume(1)
+        machine = self.machine
+        for slot, target in self._memo(operation).reloc:
+            machine.write_direct(slot, 4, target)
+            machine.consume(1)
 
     # -- pointer-field redirection (§5.3) --------------------------------------
 
@@ -149,125 +165,18 @@ class DataSynchronizer:
         """Rewrite pointer fields in ``operation``'s section that point
         at another operation's shadow (or a public original) of a
         variable this operation holds its own shadow of."""
-        own_shadows = {
-            gvar: self.image.shadow_address(operation, gvar)
-            for gvar in self.policy.external_vars(operation)
-        }
-        section_vars = self.policy.section_vars(operation)
-        for gvar in section_vars:
-            if not gvar.pointer_field_offsets:
-                continue
-            base = self._home_address(operation, gvar)
-            for offset in gvar.pointer_field_offsets:
-                pointer = self.machine.read_direct(base + offset, 4)
-                self.machine.consume(2)
-                located = self._locate(pointer)
-                if located is None:
-                    continue
-                target_op, target_var, delta = located
-                if target_op == operation.index:
-                    continue
-                if target_var in own_shadows:
-                    self.machine.write_direct(
-                        base + offset, 4, own_shadows[target_var] + delta
-                    )
-                    self.machine.consume(1)
-
-    def _home_address(self, operation: Operation, gvar: GlobalVariable) -> int:
-        key = (operation.index, gvar)
-        if key in self.image.shadow_addresses:
-            return self.image.shadow_addresses[key]
-        return self.image.global_address(gvar)
-
-    # -- precompiled switch phases -----------------------------------------
-
-    def compile_plan(self, operation: Operation,
-                     switch_base_cost: int) -> SwitchPlan:
-        """Resolve every lookup of ``operation``'s switch phases.
-
-        Item order matches the interpreted phases exactly so the memory
-        write sequence — and therefore the final image — is identical.
-        """
-        image = self.image
-        plan = SwitchPlan(operation.index, operation.name, switch_base_cost)
-        externals = list(self.policy.external_vars(operation))
-        for gvar in externals:
-            shadow = image.shadow_address(operation, gvar)
-            if gvar.sanitize_range is not None and gvar.size <= 4:
-                lo, hi = gvar.sanitize_range
-                plan.sanitize_checks.append(
-                    (shadow, gvar.size, lo, hi, gvar.name))
-            public = image.public_addresses[gvar]
-            plan.writeback.append((shadow, public, gvar.size))
-            plan.refresh.append((public, shadow, gvar.size))
-            plan.sync_words += (gvar.size + 3) // 4
-            plan.sync_bytes += gvar.size
-            plan.own_shadows[gvar] = shadow
-        accessible = set(externals)
-        for gvar, slot in image.reloc_slots.items():
-            if gvar in accessible:
-                target = image.shadow_address(operation, gvar)
-            else:
-                target = image.public_addresses[gvar]
-            plan.reloc_writes.append((slot, target))
-        for gvar in self.policy.section_vars(operation):
-            if not gvar.pointer_field_offsets:
-                continue
-            base = self._home_address(operation, gvar)
-            for offset in gvar.pointer_field_offsets:
-                plan.redirect_fields.append(base + offset)
-        return plan
-
-    def run_sanitize(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`sanitize_operation` — per-check charging is
-        kept because an abort must leave the cycle counter exactly
-        where the interpreted path would."""
         machine = self.machine
-        for shadow, size, lo, hi, name in plan.sanitize_checks:
-            value = machine.read_direct(shadow, size)
-            machine.consume(SANITIZE_CHECK_COST)
-            if not lo <= value <= hi:
-                raise SecurityAbort(
-                    f"sanitisation failed for @{name} in operation "
-                    f"{plan.op_name}: value {value} outside [{lo}, {hi}]"
-                )
-
-    def run_copies(self, pairs: list[tuple[int, int, int]],
-                   words: int, nbytes: int) -> None:
-        """Planned :meth:`write_back`/:meth:`refresh` with one batched
-        cycle charge and counter bump."""
-        machine = self.machine
-        read, write = machine.read_bytes, machine.write_bytes
-        for src, dst, size in pairs:
-            write(dst, read(src, size))
-        self._bytes_copied.value += nbytes
-        machine.consume(SYNC_WORD_COST * words)
-
-    def run_reloc(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`update_relocation_table` — slot targets were
-        resolved at plan-compile time."""
-        machine = self.machine
-        for slot, target in plan.reloc_writes:
-            machine.write_direct(slot, 4, target)
-        machine.consume(len(plan.reloc_writes))
-
-    def run_redirect(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`redirect_pointers`; pointer values are
-        runtime data, so only the field walk is precompiled."""
-        machine = self.machine
-        cost = 2 * len(plan.redirect_fields)
-        own = plan.own_shadows
-        op_index = plan.op_index
-        locate = self._locate
-        for addr in plan.redirect_fields:
-            located = locate(machine.read_direct(addr, 4))
+        memo = self._memo(operation)
+        for address in memo.fields:
+            pointer = machine.read_direct(address, 4)
+            machine.consume(2)
+            located = self._locate(pointer)
             if located is None:
                 continue
             target_op, target_var, delta = located
-            if target_op == op_index:
+            if target_op == operation.index:
                 continue
-            target = own.get(target_var)
-            if target is not None:
-                machine.write_direct(addr, 4, target + delta)
-                cost += 1
-        machine.consume(cost)
+            own = memo.own.get(target_var)
+            if own is not None:
+                machine.write_direct(address, 4, own + delta)
+                machine.consume(1)

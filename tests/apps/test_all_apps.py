@@ -10,6 +10,8 @@ import pytest
 from repro import build_opec, build_vanilla, run_image
 from repro.baselines import build_aces
 from repro.eval.workloads import build_app
+from repro.obs.events import BEGIN, OP_SWITCH
+from repro.obs.recorder import FlightRecorder
 
 QUICK_APPS = ("PinLock", "FatFs-uSD", "Camera", "CoreMark")
 SLOW_APPS = ("Animation", "LCD-uSD", "TCP-Echo")
@@ -24,21 +26,50 @@ def test_vanilla_run(name):
     app.verify_run(result.machine, result.halt_code)
 
 
-@pytest.mark.parametrize("name", QUICK_APPS + SLOW_APPS)
-def test_opec_run_matches_vanilla(name):
+def _simulated(result) -> tuple:
+    """Everything a run simulates, down to the SRAM bytes."""
+    machine = result.machine
+    snapshot = machine.metrics.snapshot()
+    return (result.halt_code, machine.cycles, machine.stats.as_dict(),
+            snapshot["histograms"]["monitor.switch_cycles"],
+            snapshot["counters"]["monitor.sync_bytes_copied"],
+            bytes(machine.sram.data))
+
+
+# Every app on the ambient backend (mpu by default), plus PinLock on the
+# other two: all of PinLock's switches run under an armed SysTick.
+OPEC_RUNS = [pytest.param(name, None, id=name)
+             for name in QUICK_APPS + SLOW_APPS] + [
+    pytest.param("PinLock", backend, id=f"PinLock-{backend}")
+    for backend in ("pmp", "overlay")]
+
+
+@pytest.mark.parametrize("name, backend", OPEC_RUNS)
+def test_opec_run_matches_vanilla(name, backend):
     app = build_app(name, profile="quick")
     vanilla = run_image(build_vanilla(app.module, app.board),
                         setup=app.setup,
                         max_instructions=app.max_instructions)
     artifacts = build_opec(app.module, app.board, app.specs)
     opec = run_image(artifacts.image, setup=app.setup,
-                     max_instructions=app.max_instructions)
+                     max_instructions=app.max_instructions, backend=backend)
     app.verify_run(opec.machine, opec.halt_code)
     assert opec.halt_code == vanilla.halt_code
     # Isolation really was on.
-    assert opec.machine.mpu.enabled
+    assert opec.machine.enforcement.enabled
     assert not opec.machine.base_privilege
     assert opec.hooks.switch_count > 0
+    # A flight recorder only observes: the monitor runs the same switch
+    # code with spans around its phases, and the spans charge nothing.
+    recorder = FlightRecorder()
+    traced = run_image(artifacts.image, setup=app.setup,
+                       max_instructions=app.max_instructions,
+                       backend=backend, recorder=recorder)
+    switches = [event for event in recorder.events()
+                if event.kind == OP_SWITCH and event.ph == BEGIN]
+    assert recorder.dropped == 0
+    assert len(switches) == opec.hooks.switch_count
+    assert _simulated(traced) == _simulated(opec)
 
 
 @pytest.mark.parametrize("name", ("PinLock", "FatFs-uSD"))

@@ -72,7 +72,7 @@ class TestPPB:
 
 class TestMPUChecked:
     def test_denied_store_raises_memmanage(self, machine):
-        machine.mpu.enabled = True
+        machine.enforcement.enabled = True
         machine.drop_privilege()
         with pytest.raises(MemManageFault):
             machine.store(machine.board.sram_base, 4, 1)
@@ -80,15 +80,15 @@ class TestMPUChecked:
 
     def test_region_grants_access(self, machine):
         base = machine.board.sram_base
-        machine.mpu.enabled = True
-        machine.mpu.set_region(MPURegion(
+        machine.enforcement.enabled = True
+        machine.enforcement.set_region(MPURegion(
             number=0, base=base, size=0x1000, priv="RW", unpriv="RW"))
         machine.drop_privilege()
         machine.store(base + 8, 4, 42)
         assert machine.load(base + 8, 4) == 42
 
     def test_direct_access_bypasses_mpu(self, machine):
-        machine.mpu.enabled = True
+        machine.enforcement.enabled = True
         machine.drop_privilege()
         machine.write_direct(machine.board.sram_base, 4, 7)
         assert machine.read_direct(machine.board.sram_base, 4) == 7

@@ -136,7 +136,7 @@ class TestDisplay:
         dma = machine.attach_device("DMA2D", DMA2D())
         src, dst = board.sram_base, board.sram_base + 0x100
         machine.write_bytes(src, b"\x01\x02\x03\x04" * 4)
-        machine.mpu.enabled = True  # no regions: CPU unpriv would fault
+        machine.enforcement.enabled = True  # no regions: CPU unpriv would fault
         machine.drop_privilege()
         base = board.peripheral("DMA2D").base
         with machine.privileged_mode():

@@ -243,7 +243,7 @@ class TestEndToEnd:
         result = run_image(artifacts.image, setup=setup,
                            max_instructions=app.max_instructions)
         app.verify_run(result.machine, result.halt_code)
-        assert isinstance(result.machine.mpu, PmpProtection)
+        assert isinstance(result.machine.enforcement, PmpProtection)
 
     def test_isolation_still_enforced_on_pmp(self):
         import repro.ir as ir

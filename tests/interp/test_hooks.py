@@ -74,11 +74,11 @@ class TestFaultHooks:
 
         class FixUp(RuntimeHooks):
             def on_reset(self, interp):
-                interp.machine.mpu.enabled = True
+                interp.machine.enforcement.enabled = True
                 interp.machine.drop_privilege()
 
             def handle_memmanage(self, interp, fault):
-                interp.machine.mpu.set_region(MPURegion(
+                interp.machine.enforcement.set_region(MPURegion(
                     number=7, base=fault.address & ~31, size=32,
                     priv="RW", unpriv="RW"))
                 return True
@@ -94,7 +94,7 @@ class TestFaultHooks:
 
         class Deny(RuntimeHooks):
             def on_reset(self, interp):
-                interp.machine.mpu.enabled = True
+                interp.machine.enforcement.enabled = True
                 interp.machine.drop_privilege()
 
         machine, image = make_setup(module)
@@ -108,7 +108,7 @@ class TestFaultHooks:
 
         class Liar(RuntimeHooks):
             def on_reset(self, interp):
-                interp.machine.mpu.enabled = True
+                interp.machine.enforcement.enabled = True
                 interp.machine.drop_privilege()
 
             def handle_memmanage(self, interp, fault):

@@ -29,7 +29,7 @@ class TestEndToEnd:
         artifacts = build_opec(build_mini_module(), board, MINI_SPECS)
         result = run_image(artifacts.image)
         assert not result.machine.base_privilege
-        assert result.machine.mpu.enabled
+        assert result.machine.enforcement.enabled
 
 
 class TestIsolation:

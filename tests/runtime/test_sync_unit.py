@@ -5,6 +5,7 @@ import pytest
 import repro.ir as ir
 from repro import build_opec
 from repro.hw import Machine, SecurityAbort, stm32f4_discovery
+from repro.interp.costs import SANITIZE_CHECK_COST, SYNC_WORD_COST
 from repro.ir import I32, VOID, ptr
 from repro.partition import OperationSpec
 from repro.runtime.stack import StackProtector
@@ -196,6 +197,93 @@ class TestPointerRedirection:
         artifacts = build_opec(self._pointer_module(), board, SPECS)
         opec = run_image(artifacts.image)
         assert opec.halt_code == vanilla.halt_code == 5
+
+    def test_redirect_charges_per_read_and_rewrite(self, monkeypatch):
+        """One charge per field read and one per rewrite, as every
+        other phase charges per item (see TestPerItemCharging)."""
+        module = ir.Module("two_ptrs")
+        target = module.add_global("target", I32, 42)
+        holders = [module.add_global(f"holder{i}", ptr(I32))
+                   for i in range(2)]
+        for name in ("t1", "t2"):
+            _t, b = ir.define(module, name, VOID, [])
+            for holder in holders:
+                b.store(target, holder)
+            b.store(1, target)
+            b.ret_void()
+        _m, b = ir.define(module, "main", I32, [])
+        b.call(module.get_function("t1"))
+        b.call(module.get_function("t2"))
+        b.halt(b.load(target))
+        artifacts, machine = _world(lambda: module, SPECS)
+        sync = DataSynchronizer(machine, artifacts.image)
+        image = artifacts.image
+        target = artifacts.module.get_global("target")
+        op1 = artifacts.policy.operation_by_entry("t1")
+        op2 = artifacts.policy.operation_by_entry("t2")
+        charges = []
+        monkeypatch.setattr(machine, "consume", charges.append)
+
+        sync.redirect_pointers(op2)          # null pointers: reads only
+        assert charges == [2, 2]
+        charges.clear()
+        for index in range(2):
+            holder = artifacts.module.get_global(f"holder{index}")
+            machine.write_direct(image.shadow_address(op2, holder), 4,
+                                 image.shadow_address(op1, target))
+        sync.redirect_pointers(op2)          # foreign shadows: rewritten
+        assert charges == [2, 1, 2, 1]
+
+
+class TestPerItemCharging:
+    """Each phase charges cycles per item — per check, per copy, per
+    relocation slot, per pointer-field read and per rewrite — so an
+    armed SysTick sees every charge land where the paper's monitor
+    makes it."""
+
+    def _module(self):
+        module = ir.Module("charges")
+        shared = module.add_global("shared", I32, 7, sanitize_range=(0, 100))
+        table = module.add_global("table", ir.array(I32, 20))
+        for name in ("t1", "t2"):
+            _t, b = ir.define(module, name, VOID, [])
+            b.store(b.add(b.load(shared), 1), shared)
+            b.store(b.load(shared), b.gep(table, 0, 3))
+            b.ret_void()
+        _m, b = ir.define(module, "main", I32, [])
+        b.call(module.get_function("t1"))
+        b.call(module.get_function("t2"))
+        b.halt(b.load(shared))
+        return module
+
+    def test_sync_phases_charge_per_item(self, monkeypatch):
+        artifacts, machine = _world(self._module, SPECS)
+        sync = DataSynchronizer(machine, artifacts.image)
+        op1 = artifacts.policy.operation_by_entry("t1")
+        externals = artifacts.policy.external_vars(op1)
+        assert len(externals) == 2
+        copies = [SYNC_WORD_COST * ((gvar.size + 3) // 4)
+                  for gvar in externals]
+        charges = []
+        monkeypatch.setattr(machine, "consume", charges.append)
+
+        sync.sanitize_operation(op1)
+        assert charges == [SANITIZE_CHECK_COST]
+        charges.clear()
+        sync.write_back(op1, sanitize=False)
+        assert charges == copies
+        charges.clear()
+        sync.write_back(op1)     # each check just before its copy
+        assert charges == [
+            charge for gvar, copy in zip(externals, copies)
+            for charge in ([SANITIZE_CHECK_COST, copy]
+                           if gvar.sanitize_range else [copy])]
+        charges.clear()
+        sync.refresh(op1)
+        assert charges == copies
+        charges.clear()
+        sync.update_relocation_table(op1)
+        assert charges == [1] * len(artifacts.image.reloc_slots)
 
 
 class TestStackProtectorUnit:

@@ -88,12 +88,12 @@ class TestContextSwitch:
         threads.context_switch(interp, 1)
         a_section = image.layout_of(op_a).section
         b_section = image.layout_of(op_b).section
-        assert machine.mpu.allows(a_section.base, 4, False, True)
-        assert not machine.mpu.allows(b_section.base, 4, False, True)
+        assert machine.enforcement.allows(a_section.base, 4, False, True)
+        assert not machine.enforcement.allows(b_section.base, 4, False, True)
 
         threads.context_switch(interp, 2)
-        assert machine.mpu.allows(b_section.base, 4, False, True)
-        assert not machine.mpu.allows(a_section.base, 4, False, True)
+        assert machine.enforcement.allows(b_section.base, 4, False, True)
+        assert not machine.enforcement.allows(a_section.base, 4, False, True)
 
     def test_stack_pointer_per_thread(self):
         artifacts, machine, monitor, interp = _two_thread_world()
