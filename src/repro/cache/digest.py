@@ -24,6 +24,7 @@ Digests are plain hex strings; everything is hashed through a single
 from __future__ import annotations
 
 import hashlib
+import weakref
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,12 +38,17 @@ from ..partition.operations import OperationSpec
 CACHE_SCHEMA_VERSION = 1
 
 _fingerprint_memo: dict[int, str] = {}
+# Module digest per module object; entries die with their module.
+_module_memo: "weakref.WeakKeyDictionary[Module, str]" = \
+    weakref.WeakKeyDictionary()
 
 
 def clear_digest_memos() -> None:
-    """Drop memoised fingerprint state (tests monkeypatch the schema
-    version; regular code never needs this)."""
+    """Drop memoised fingerprint and module digests: after editing a
+    module that was already digested, or when a test monkeypatches the
+    schema version.  ``repro.eval.workloads.clear_caches`` calls it."""
     _fingerprint_memo.clear()
+    _module_memo.clear()
 
 
 def pipeline_fingerprint() -> str:
@@ -73,8 +79,18 @@ def pipeline_fingerprint() -> str:
 
 
 def module_digest(module: Module) -> str:
-    """SHA-256 of the canonical printer form of ``module``."""
-    return hashlib.sha256(print_module(module).encode()).hexdigest()
+    """SHA-256 of the canonical printer form of ``module``.
+
+    Memoised per module object, since every build, run and closure key
+    of one module starts here.  Building and running a module leave
+    its printed form unchanged; code that edits a module after
+    digesting it must call :func:`clear_digest_memos`.
+    """
+    digest = _module_memo.get(module)
+    if digest is None:
+        digest = hashlib.sha256(print_module(module).encode()).hexdigest()
+        _module_memo[module] = digest
+    return digest
 
 
 def board_canonical(board: Board) -> str:

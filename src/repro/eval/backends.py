@@ -24,19 +24,24 @@ and reports, side by side:
 Row order is fixed — apps in :data:`APP_NAMES` order, backends in
 :data:`KNOWN_BACKENDS` order, per-backend ``Average`` rows last — so
 the rendered report is byte-deterministic and safe to commit under
-``results/``.  With ``REPRO_JOBS`` > 1 the (app, backend) cells are
-computed concurrently in a process pool, sharing the on-disk artifact
-store; the merged output is identical to the serial path.
+``results/``.  :func:`app_cells` computes one application's cells from
+runs it stages as lanes of one batch; the export gets them from each
+application's row task (:func:`repro.eval.workloads.compute_all_rows`),
+and :func:`compute_matrix` maps :func:`app_cells` over the applications
+through the same fan-out, so with ``REPRO_JOBS`` > 1 applications run
+concurrently while the merged output stays identical to the serial
+path.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..hw.backend import KNOWN_BACKENDS
-from .workloads import APP_NAMES, active_profile, repro_jobs, run_build
+from .workloads import (APP_NAMES, active_profile, map_apps, prefetch_runs,
+                        run_build)
 
 
 @dataclass
@@ -79,58 +84,59 @@ def compute_cell(name: str, backend: str,
     )
 
 
-def _cell_worker(job: tuple[str, str, str]) -> BackendRow:
-    """Process-pool entry point: pin the profile, compute one cell.
-
-    ``REPRO_BACKEND`` is deliberately *not* exported here — the
-    backend is passed explicitly per cell, and the shared vanilla
-    baseline is always keyed to "mpu" regardless of ambient state.
-    """
-    name, profile, backend = job
-    os.environ["REPRO_PROFILE"] = profile
-    return compute_cell(name, backend, profile)
+def matrix_runs(backends: Sequence[str] = KNOWN_BACKENDS
+                ) -> list[tuple[str, str]]:
+    """The (build flavour, backend) runs behind one app's cells: its
+    OPEC build per backend and the shared MPU-vanilla baseline."""
+    return [*(("opec", backend) for backend in backends), ("vanilla", "mpu")]
 
 
-def _averages(rows: list[BackendRow],
-              backends: Sequence[str]) -> list[BackendRow]:
+def app_cells(name: str, backends: Sequence[str] = KNOWN_BACKENDS,
+              profile: Optional[str] = None) -> list[BackendRow]:
+    """One app's cells, in ``backends`` order.  The runs the cells need
+    and neither the in-process memo nor the artifact store holds are
+    simulated as lanes of one batch first."""
+    profile = profile or active_profile()
+    prefetch_runs(name, profile, matrix_runs(backends))
+    return [compute_cell(name, backend, profile) for backend in backends]
+
+
+def finalize_rows(cells: list[BackendRow],
+                  backends: Sequence[str] = KNOWN_BACKENDS
+                  ) -> list[BackendRow]:
+    """Append a per-backend ``Average`` row to the (app, backend)
+    cells."""
     averages = []
     for backend in backends:
-        cells = [r for r in rows if r.backend == backend]
-        if not cells:
+        column = [r for r in cells if r.backend == backend]
+        if not column:
             continue
-        n = len(cells)
+        n = len(column)
         averages.append(BackendRow(
             app="Average",
             backend=backend,
-            cycles=sum(r.cycles for r in cells),
-            runtime_pct=sum(r.runtime_pct for r in cells) / n,
-            switches=sum(r.switches for r in cells),
-            switch_cycles=sum(r.switch_cycles for r in cells),
-            switch_avg=sum(r.switch_avg for r in cells) / n,
-            memmanage_faults=sum(r.memmanage_faults for r in cells),
-            region_swaps=sum(r.region_swaps for r in cells),
-            pt_avg=sum(r.pt_avg for r in cells) / n,
+            cycles=sum(r.cycles for r in column),
+            runtime_pct=sum(r.runtime_pct for r in column) / n,
+            switches=sum(r.switches for r in column),
+            switch_cycles=sum(r.switch_cycles for r in column),
+            switch_avg=sum(r.switch_avg for r in column) / n,
+            memmanage_faults=sum(r.memmanage_faults for r in column),
+            region_swaps=sum(r.region_swaps for r in column),
+            pt_avg=sum(r.pt_avg for r in column) / n,
         ))
-    return averages
+    return [*cells, *averages]
 
 
 def compute_matrix(apps: Sequence[str] = APP_NAMES,
                    backends: Sequence[str] = KNOWN_BACKENDS,
                    jobs: Optional[int] = None) -> list[BackendRow]:
-    """All (app, backend) cells plus per-backend ``Average`` rows."""
-    jobs = repro_jobs() if jobs is None else max(1, jobs)
-    pairs = [(name, backend) for name in apps for backend in backends]
-    if jobs > 1 and len(pairs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        profile = active_profile()
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            rows = list(pool.map(
-                _cell_worker,
-                [(name, profile, backend) for name, backend in pairs]))
-    else:
-        rows = [compute_cell(name, backend) for name, backend in pairs]
-    return rows + _averages(rows, backends)
+    """All (app, backend) cells plus per-backend ``Average`` rows, one
+    :func:`app_cells` task per app (``jobs`` defaults to
+    ``REPRO_JOBS``)."""
+    task = functools.partial(app_cells, backends=tuple(backends))
+    cells = [cell for app_rows, _envelope in map_apps(task, apps, jobs)
+             for cell in app_rows]
+    return finalize_rows(cells, backends)
 
 
 # ``repro eval backends`` dispatches through the same

@@ -7,7 +7,8 @@ and figure and writes:
 * ``<target>.tsv`` — machine-readable rows for plotting elsewhere;
 * ``backends.txt`` / ``backends.tsv`` — the comparative
   enforcement-backend matrix (MPU / PMP / overlay overheads, switch
-  costs, over-privilege) from :mod:`repro.eval.backends`;
+  costs, over-privilege) from :mod:`repro.eval.backends`, whose cells
+  each application's row task computes;
 * ``trace_pinlock.json`` / ``trace_pinlock.tsv`` — the PinLock OPEC
   run's flight-recorder stream (Chrome trace-event JSON for Perfetto,
   plus one row per event) — sim domain only, so the bytes are
@@ -25,9 +26,12 @@ and figure and writes:
   host-domain sections carry wall clock and are masked by
   ``tools/check_determinism.py``.
 
-Rows come from :func:`repro.eval.workloads.compute_all_rows`, so
-``REPRO_JOBS`` > 1 regenerates the applications concurrently while the
-written files stay bit-identical to a serial export.
+The table, figure and backend rows come from one
+:func:`repro.eval.workloads.compute_all_rows` call: one task per
+application simulates the runs its rows and cells need that the
+artifact store lacks in one batch, and reads each stored run once.
+``REPRO_JOBS`` > 1 runs those tasks concurrently while the written
+files stay bit-identical to a serial export.
 """
 
 from __future__ import annotations
@@ -110,10 +114,9 @@ def export_all(output_dir: str) -> list[str]:
     ])
 
     # Comparative enforcement-backend matrix: every app's OPEC build
-    # under MPU / PMP / overlay.  The table1..figure11 pass above has
-    # already warmed the artifact store with the MPU runs, so only the
-    # PMP and overlay cells simulate here.
-    bk = backends.compute_matrix()
+    # under MPU / PMP / overlay.  Each app's row task above computed
+    # its cells from the same batch as its table and figure rows.
+    bk = all_rows["backends"]
     save("backends", backends.render(bk), [
         ["app", "backend", "cycles", "runtime_pct", "switches",
          "switch_cycles", "switch_avg", "memmanage_faults",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import figure9, figure10, figure11, table1, table2, table3
+from . import backends, figure9, figure10, figure11, table1, table2, table3
 from .workloads import compute_all_rows
 
 
@@ -22,6 +22,7 @@ def main(backend: Optional[str] = None) -> None:
         ("Figure 10", figure10, rows["figure10"]),
         ("Figure 11", figure11, rows["figure11"]),
         ("Table 3", table3, rows["table3"]),
+        ("Backends", backends, rows["backends"]),
     ]
     for _name, module, data in sections:
         print("=" * 72)

@@ -14,17 +14,19 @@ evaluations — and every ``REPRO_JOBS`` worker — reuse whole-image
 builds and completed simulation results across processes.  Set
 ``REPRO_CACHE=off`` to bypass the store.
 
-:func:`compute_all_rows` is the evaluation fan-out point: it computes
-every table/figure row of §6, either serially in-process or — with
-``REPRO_JOBS`` > 1 — one worker process per application, merging the
-returned rows in fixed :data:`APP_NAMES` order so the rendered output
-is byte-identical either way.
+:func:`map_apps` is the evaluation fan-out: one task per application,
+run serially in-process or — with ``REPRO_JOBS`` > 1 — in a process
+pool, results in the order of the applications.  Both
+:func:`compute_all_rows` (every table/figure row of §6 plus the
+backend matrix's cells) and :func:`repro.eval.backends.compute_matrix`
+go through it, so the rendered output is byte-identical either way.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Optional
+from typing import Callable, Collection, Optional, Sequence
 
 from .. import cache
 from ..apps import ACES_APPS, ALL_APPS, Application
@@ -65,11 +67,11 @@ _aces_cache: dict[tuple[str, str, str], AcesArtifacts] = {}
 _run_cache: dict[tuple[str, str, str], RunResult] = {}
 
 def clear_caches() -> None:
-    """Reset every in-process memo the harness (and the analyses
-    underneath it) keeps, so tests that mutate modules cannot observe
-    stale entries.  The on-disk artifact store is content-addressed —
-    a mutated module simply digests differently — so it is *not*
-    cleared here; use ``repro cache clear`` for that."""
+    """Reset every in-process memo the harness (and the analyses and
+    digests underneath it) keeps, so tests that mutate modules cannot
+    observe stale entries.  The on-disk artifact store is
+    content-addressed — a mutated module simply digests differently —
+    so it is *not* cleared here; use ``repro cache clear`` for that."""
     from ..analysis import clear_analysis_caches
     from . import figure11
 
@@ -78,6 +80,7 @@ def clear_caches() -> None:
     _aces_cache.clear()
     _run_cache.clear()
     clear_analysis_caches()
+    cache.clear_digest_memos()
     figure11._trace_cache.clear()
 
 
@@ -196,21 +199,26 @@ def _run_kinds(name: str) -> tuple[str, ...]:
     return kinds
 
 
-def _prefetch_runs(name: str, profile: str, backend: str) -> None:
-    """Simulate every cache-cold build flavour of one app as one batch.
+def prefetch_runs(name: str, profile: str,
+                  runs: Sequence[tuple[str, str]]) -> None:
+    """Simulate the ``(kind, backend)`` runs of one app that neither
+    the memo nor the artifact store holds, as one batch (a run listed
+    twice is staged once).
 
-    ``_compute_app_rows`` needs the same (vanilla, opec[, ACES]) runs
-    several times across its tables and figures; :func:`run_build`
-    memoises them, but serially the flavours still execute one after
-    another.  Staging the flavours that neither the memo nor the
-    artifact store can serve as lanes of a single
+    The row computations need the same runs several times across
+    their tables and figures; :func:`run_build` memoises them, but
+    serially the runs would still execute one after another.  Staging
+    the missing runs as lanes of a single
     :class:`~repro.interp.batch.BatchRunner` interleaves them at block
     granularity inside this worker — one warm-up, shared compiled
-    closures across flavours of the same module — while lane isolation
-    keeps each result bit-identical to the solo ``run_build`` it
-    stands in for (same memo key, same store digest, same
-    ``verify_run`` checks).  A lane failure re-raises exactly what the
-    serial path would have raised, in the serial request order.
+    closures across flavours and backends of the same module — while
+    lane isolation keeps each result bit-identical to the solo
+    ``run_build`` it stands in for (same memo key, same store digest,
+    same ``verify_run`` checks).  A lane failure re-raises exactly
+    what the serial path would have raised, in the serial request
+    order.  A run the store holds is left for :func:`run_build` to
+    load when a row or cell asks for it (a corrupt entry is then
+    simulated there, solo).
     """
     from ..interp.batch import BatchRunner, LaneFailure
 
@@ -218,17 +226,14 @@ def _prefetch_runs(name: str, profile: str, backend: str) -> None:
     store = cache.active_store()
     runner = None
     staged = []
-    for kind in _run_kinds(name):
+    for kind, backend in dict.fromkeys(runs):
         key = (name, kind, profile, backend)
         if key in _run_cache:
             continue
         digest = ""
         if store is not None:
             digest = _run_digest(app, name, kind, profile, backend)
-            cached = store.get(digest)
-            if cached is not None:
-                app.verify_run(cached.machine, cached.halt_code)
-                _run_cache[key] = cached
+            if store.contains(digest):
                 continue
         if kind == "vanilla":
             image = build_vanilla(app.module, app.board)
@@ -238,7 +243,8 @@ def _prefetch_runs(name: str, profile: str, backend: str) -> None:
             image = aces_artifacts(name, kind, profile).image
         if runner is None:
             runner = BatchRunner()
-        lane = runner.add(image, name=f"{name}:{kind}", setup=app.setup,
+        lane = runner.add(image, name=f"{name}:{kind}:{backend}",
+                          setup=app.setup,
                           max_instructions=app.max_instructions,
                           backend=backend)
         staged.append((key, digest, lane))
@@ -263,19 +269,30 @@ def _prefetch_runs(name: str, profile: str, backend: str) -> None:
         _run_cache[key] = result
 
 
-def _compute_app_rows(name: str, backend: Optional[str] = None) -> dict:
+def _compute_app_rows(name: str, backend: str) -> dict:
     """Every §6 row that concerns one application, under the ambient
-    profile.  ``backend`` reaches the run-based rows (Figure 9,
-    Table 2) as an explicit parameter; the remaining rows are static
-    analyses with no enforcement substrate.  Row objects are plain
+    profile, plus its backend-matrix cells (``"backends"``).
+    ``backend`` reaches the run-based rows (Figure 9, Table 2) as an
+    explicit parameter; the remaining rows are static analyses with no
+    enforcement substrate.  Every run the rows and cells need that
+    the store lacks is simulated in one batch.  Row objects are plain
     dataclasses of primitives, so they cross a process boundary."""
-    from . import figure9, figure10, figure11, table1, table2, table3
+    from . import backends, figure9, figure10, figure11, table1, table2, table3
 
-    _prefetch_runs(name, active_profile(), backend or active_backend())
+    profile = active_profile()
+    row_runs = [(kind, backend) for kind in _run_kinds(name)]
+    prefetch_runs(name, profile, [*row_runs, *backends.matrix_runs()])
+    # Cells first: the runs only they need leave before the rows load
+    # theirs, so on a warm store the task holds no more machines at
+    # once than its rows alone would.
+    cells = backends.app_cells(name, profile=profile)
+    _drop_runs(name, keep={(name, kind, profile, run_backend)
+                           for kind, run_backend in row_runs})
     rows: dict = {
         "table1": table1.compute_row(name),
         "figure9": figure9.compute_row(name, backend=backend),
         "table3": table3.compute_row(name),
+        "backends": cells,
     }
     if name in ACES_APPS:
         rows["table2"] = table2.compute_rows(name, backend=backend)
@@ -284,37 +301,77 @@ def _compute_app_rows(name: str, backend: Optional[str] = None) -> dict:
     return rows
 
 
-def _app_rows_worker(job: tuple[str, str, str]) -> tuple[str, dict, object]:
-    """Process-pool entry point: pin the worker's profile (an ambient
-    setting many helpers default from) and compute one app's rows; the
-    enforcement backend travels as an explicit parameter, never via
-    the environment.  Workers share the parent's on-disk artifact
-    store (``REPRO_CACHE`` is inherited), so only the first process to
-    need a build or run pays for it; the returned telemetry envelope
-    carries the capture window's cache traffic, compile activity, and
-    simulated metrics back to the parent.  A capture window, not
-    process totals: the pool reuses its processes, so one worker
-    computes several apps back to back."""
-    name, profile, backend = job
-    os.environ["REPRO_PROFILE"] = profile
+def _drop_runs(name: str, keep: Collection[tuple] = ()) -> None:
+    """Forget one app's in-process runs but the ``keep`` memo keys.  A
+    finished app's machines are the bulk of a worker's memory, and the
+    store (when on) still serves them to any later request."""
+    for key in [key for key in _run_cache
+                if key[0] == name and key not in keep]:
+        del _run_cache[key]
+
+
+def _run_app_task(task: Callable[[str], object],
+                  name: str) -> tuple[object, fleet.WorkerTelemetry]:
+    """``task(name)`` inside a telemetry capture window; the app's runs
+    are dropped once the task is done.  A capture window, not process
+    totals: the pool reuses its processes, so one worker computes
+    several apps back to back."""
     token = fleet.begin_capture()
     try:
-        rows = _compute_app_rows(name, backend=backend)
+        result = task(name)
     finally:
         envelope = fleet.end_capture(token, label=name)
-    return (name, rows, envelope)
+        _drop_runs(name)
+    return result, envelope
+
+
+def _app_task_worker(job: tuple[Callable[[str], object], str, str]
+                     ) -> tuple[object, fleet.WorkerTelemetry]:
+    """Process-pool entry point: pin the worker's profile (an ambient
+    setting many helpers default from) and run one app's task.
+    Everything else the task depends on travels in ``task`` (a
+    module-level function or a ``functools.partial`` of one).  Workers
+    share the parent's on-disk artifact store (``REPRO_CACHE`` is
+    inherited), so only the first process to need a build or run pays
+    for it."""
+    task, name, profile = job
+    os.environ["REPRO_PROFILE"] = profile
+    return _run_app_task(task, name)
+
+
+def map_apps(task: Callable[[str], object], names: Sequence[str],
+             jobs: Optional[int] = None
+             ) -> list[tuple[object, fleet.WorkerTelemetry]]:
+    """``(task(name), telemetry envelope)`` for each of ``names``, in
+    order.  With ``jobs`` (default: ``REPRO_JOBS``) > 1 the apps run
+    in a process pool, one app per task so an idle worker takes the
+    next app; otherwise serially in this process."""
+    jobs = repro_jobs() if jobs is None else max(1, jobs)
+    if jobs > 1 and len(names) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        profile = active_profile()
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(names))) as pool:
+            return list(pool.map(
+                _app_task_worker, [(task, name, profile) for name in names]))
+    return [_run_app_task(task, name) for name in names]
 
 
 def compute_all_rows(jobs: Optional[int] = None,
                      backend: Optional[str] = None) -> dict[str, list]:
-    """All rows for Tables 1–3 and Figures 9–11.
+    """All rows for Tables 1–3 and Figures 9–11, and the backend
+    matrix (``"backends"``: every app's cells plus the per-backend
+    ``Average`` rows, as :func:`repro.eval.backends.compute_matrix`
+    returns them).
 
-    With ``jobs`` (default: ``REPRO_JOBS``) > 1, applications are
-    built and run concurrently in a process pool, one app per task so
-    an idle worker takes the next app (pool processes outlive their
-    tasks, so per-process memos carry over anyway); the per-app rows
-    are then merged in fixed ``APP_NAMES`` order, so the result — and
-    everything rendered from it — is identical to the serial path.
+    Each application is one :func:`map_apps` task that simulates, in
+    one batch, the runs its rows and cells need that the store lacks,
+    and drops the app's runs once its rows exist.  With ``jobs``
+    (default: ``REPRO_JOBS``) > 1 the tasks run in a process pool; the
+    per-app rows are merged in fixed ``APP_NAMES`` order, so the
+    result — and everything rendered from it — is identical to the
+    serial path.
 
     The returned mapping carries three extra, non-table keys.
     ``"cache"``: aggregate artifact-cache hit/miss/bytes counters
@@ -329,36 +386,19 @@ def compute_all_rows(jobs: Optional[int] = None,
     diagnostic (cache/compile activity depends on cache temperature
     and is *not* part of the determinism contract).
     """
-    from . import figure9, table1
+    from . import backends, figure9, table1
 
-    jobs = repro_jobs() if jobs is None else max(1, jobs)
     backend = backend or active_backend()
-    envelopes: list[fleet.WorkerTelemetry] = []
     outer = fleet.begin_capture()
     try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            profile = active_profile()
-            per_app: dict[str, dict] = {}
-            workers = min(jobs, len(APP_NAMES))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for name, rows, envelope in pool.map(
-                        _app_rows_worker,
-                        [(name, profile, backend) for name in APP_NAMES]):
-                    per_app[name] = rows
-                    envelopes.append(envelope)
-        else:
-            per_app = {}
-            for name in APP_NAMES:
-                token = fleet.begin_capture()
-                try:
-                    per_app[name] = _compute_app_rows(name,
-                                                      backend=backend)
-                finally:
-                    envelopes.append(fleet.end_capture(token, label=name))
+        results = map_apps(
+            functools.partial(_compute_app_rows, backend=backend),
+            APP_NAMES, jobs)
     finally:
         conductor = fleet.end_capture(outer, label="conductor")
+    per_app = {name: rows for name, (rows, _envelope)
+               in zip(APP_NAMES, results)}
+    envelopes = [envelope for _rows, envelope in results]
     for index, envelope in enumerate(envelopes):
         envelope.worker = index + 1
     telemetry = [conductor, *envelopes]
@@ -378,6 +418,9 @@ def compute_all_rows(jobs: Optional[int] = None,
         "figure10": [per_app[name]["figure10"] for name in ACES_APPS],
         "figure11": [per_app[name]["figure11"] for name in ACES_APPS],
         "table3": [per_app[name]["table3"] for name in APP_NAMES],
+        "backends": backends.finalize_rows(
+            [cell for name in APP_NAMES
+             for cell in per_app[name]["backends"]]),
         "cache": counters.as_dict(),
         "compile": {metric: compile_totals[metric]
                     for metric in sorted(compile_totals)},

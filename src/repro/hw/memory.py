@@ -13,6 +13,36 @@ from typing import Optional, Protocol
 
 from .exceptions import HardFault
 
+#: Granule of the sparse pickle form of a byte array.
+PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def pack_pages(data: bytearray) -> tuple[int, dict[int, bytes]]:
+    """``data`` as its length plus its non-zero ``PAGE_SIZE`` pages,
+    keyed by page index (the last page may be short).
+
+    Flash, SRAM and SD-card images are mostly zero, so this is the
+    form a stored :class:`~repro.pipeline.RunResult` keeps them in;
+    :func:`unpack_pages` restores an identical ``bytearray``.
+    """
+    pages = {}
+    for start in range(0, len(data), PAGE_SIZE):
+        page = data[start:start + PAGE_SIZE]
+        if page != _ZERO_PAGE[:len(page)]:
+            pages[start // PAGE_SIZE] = bytes(page)
+    return len(data), pages
+
+
+def unpack_pages(packed: tuple[int, dict[int, bytes]]) -> bytearray:
+    """Inverse of :func:`pack_pages`."""
+    length, pages = packed
+    data = bytearray(length)
+    for index, page in pages.items():
+        start = index * PAGE_SIZE
+        data[start:start + len(page)] = page
+    return data
+
 
 class MMIODevice(Protocol):
     """Interface of a memory-mapped device model.
@@ -55,11 +85,25 @@ class Region:
 
 
 class RamRegion(Region):
-    """Plain byte-addressable RAM."""
+    """Plain byte-addressable RAM.
+
+    Pickles its bytes page-sparse (:func:`pack_pages`): nothing else
+    holds a reference to ``data`` between accesses, so the restored
+    array need not share identity with anything.
+    """
 
     def __init__(self, name: str, base: int, size: int):
         super().__init__(name, base, size)
         self.data = bytearray(size)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["data"] = pack_pages(self.data)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["data"] = unpack_pages(state["data"])
+        self.__dict__.update(state)
 
     def read(self, address: int, size: int) -> int:
         off = address - self.base

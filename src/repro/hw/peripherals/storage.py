@@ -11,12 +11,20 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..memory import pack_pages, unpack_pages
+
 BLOCK_SIZE = 512
 WORDS_PER_BLOCK = BLOCK_SIZE // 4
 
 
 class SDCard:
-    """SDIO controller + card with a byte-addressable block image."""
+    """SDIO controller + card with a byte-addressable block image.
+
+    The card never changes size: an image larger than the capacity is
+    refused, and a write to a block at or past the capacity is dropped
+    (a read there returns zero words).  It pickles its image
+    page-sparse, like :class:`~repro.hw.memory.RamRegion`.
+    """
 
     POWER = 0x00
     ARG = 0x08
@@ -39,6 +47,11 @@ class SDCard:
         # baseline and OPEC builds wait identically (I/O-bound §6.3).
         self.machine = None
         self.block_latency_cycles = block_latency_cycles
+        self.capacity_blocks = capacity_blocks
+        if len(image) > capacity_blocks * BLOCK_SIZE:
+            raise ValueError(
+                f"SD image of {len(image)} bytes exceeds the card's "
+                f"{capacity_blocks} blocks")
         self.image = bytearray(capacity_blocks * BLOCK_SIZE)
         self.image[: len(image)] = image
         self.arg = 0
@@ -67,11 +80,15 @@ class SDCard:
         self.reads += 1
 
     def _commit_write(self) -> None:
-        start = self._write_block * BLOCK_SIZE
-        blob = b"".join(w.to_bytes(4, "little") for w in self._write_buffer)
-        self.image[start : start + BLOCK_SIZE] = blob
-        self._write_buffer = []
+        block = self._write_block
         self._write_block = -1
+        words = self._write_buffer
+        self._write_buffer = []
+        if block >= self.capacity_blocks:
+            return
+        start = block * BLOCK_SIZE
+        self.image[start : start + BLOCK_SIZE] = b"".join(
+            w.to_bytes(4, "little") for w in words)
         self.writes += 1
 
     def mmio_read(self, offset: int, size: int) -> int:
@@ -106,6 +123,15 @@ class SDCard:
                     self._commit_write()
         elif offset == self.POWER:
             self.power = value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["image"] = pack_pages(self.image)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["image"] = unpack_pages(state["image"])
+        self.__dict__.update(state)
 
 
 class USBMassStorage:

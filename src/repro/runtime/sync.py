@@ -12,10 +12,12 @@ The phase methods below are the only switch implementation: the
 monitor's call and return paths and the §7 thread switch all run them.
 Every address a phase touches is policy- or layout-level data, fixed
 once the image is linked, so it is resolved once per operation into an
-:class:`_OperationMemo`.  Cycles are still charged per item — per
-check, per copy, per relocation slot, per pointer-field read and per
-rewrite — so an armed SysTick sees the same charge sequence whether or
-not a flight recorder is attached.
+:class:`_OperationMemo`.  Shadows and public originals all live in SRAM
+(the memo refuses an image where one does not), so a copy slices the
+SRAM bytes directly.  Cycles are still charged per item — per check,
+per copy, per relocation slot, per pointer-field read and per rewrite —
+so an armed SysTick sees the same charge sequence whether or not a
+flight recorder is attached.
 """
 
 from __future__ import annotations
@@ -24,10 +26,21 @@ from typing import Optional
 
 from ..hw.exceptions import SecurityAbort
 from ..hw.machine import Machine
+from ..hw.memory import RamRegion
 from ..image.linker import OpecImage
 from ..interp.costs import SANITIZE_CHECK_COST, SYNC_WORD_COST
 from ..ir.values import GlobalVariable
 from ..partition.operations import Operation
+
+
+def _sram_offset(sram: RamRegion, address: int, gvar: GlobalVariable,
+                 what: str) -> int:
+    offset = address - sram.base
+    if not 0 <= offset <= sram.size - gvar.size:
+        raise ValueError(
+            f"{what} of @{gvar.name} at 0x{address:08X}+{gvar.size} is "
+            f"not inside SRAM")
+    return offset
 
 
 class _OperationMemo:
@@ -36,11 +49,13 @@ class _OperationMemo:
 
     __slots__ = ("checks", "copies", "own", "reloc", "fields")
 
-    def __init__(self, image: OpecImage, operation: Operation):
+    def __init__(self, image: OpecImage, operation: Operation,
+                 sram: RamRegion):
         policy = image.policy
         # (shadow, size, lo, hi, variable name) per range-checked scalar.
         self.checks: list[tuple[int, int, int, int, str]] = []
-        # (shadow, public, size, its check or None) per external.
+        # (shadow, public, size, its check or None) per external, the
+        # first two as offsets into SRAM.
         self.copies: list[tuple[int, int, int, Optional[tuple]]] = []
         # The operation's own shadow of each external.
         self.own: dict[GlobalVariable, int] = {}
@@ -52,7 +67,10 @@ class _OperationMemo:
                 check = (shadow, gvar.size, lo, hi, gvar.name)
                 self.checks.append(check)
             self.copies.append(
-                (shadow, image.public_addresses[gvar], gvar.size, check))
+                (_sram_offset(sram, shadow, gvar, "shadow"),
+                 _sram_offset(sram, image.public_addresses[gvar], gvar,
+                              "public original"),
+                 gvar.size, check))
             self.own[gvar] = shadow
         # (slot, target) per relocation-table slot: the operation's own
         # shadow, or the public original when it does not access it.
@@ -93,15 +111,17 @@ class DataSynchronizer:
     def _memo(self, operation: Operation) -> _OperationMemo:
         memo = self._memos.get(operation.index)
         if memo is None:
-            memo = _OperationMemo(self.image, operation)
+            memo = _OperationMemo(self.image, operation, self.machine.sram)
             self._memos[operation.index] = memo
         return memo
 
     # -- words ------------------------------------------------------------
 
     def _copy(self, src: int, dst: int, size: int) -> None:
+        """Copy ``size`` bytes between two SRAM offsets."""
         machine = self.machine
-        machine.write_bytes(dst, machine.read_bytes(src, size))
+        data = machine.sram.data
+        data[dst:dst + size] = data[src:src + size]
         self._bytes_copied.value += size
         machine.consume(SYNC_WORD_COST * ((size + 3) // 4))
 

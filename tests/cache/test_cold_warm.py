@@ -111,3 +111,22 @@ def test_corrupt_store_entry_recovers_with_cold_build(private_store):
     assert dump_policy(rebuilt.image) == dump_policy(cold.image)
     warm = build_opec(app.module, app.board, app.specs)
     assert warm.cache_hit  # the rebuild restored the entry
+
+
+def test_corrupt_run_entry_is_simulated_again(private_store):
+    """``prefetch_runs`` leaves a stored run to ``run_build`` without
+    decoding it, so a corrupt entry surfaces there and is re-run."""
+    cold = workloads.run_build("PinLock", "opec", profile="quick",
+                               backend="mpu")
+    app = workloads.build_app("PinLock", profile="quick")
+    digest = workloads._run_digest(app, "PinLock", "opec", "quick", "mpu")
+    private_store.path_for(digest).write_bytes(
+        b"opec-cache-v1\n" + b"0" * 64 + b"\ngarbage")
+    workloads.clear_caches()
+    workloads.prefetch_runs("PinLock", "quick", [("opec", "mpu")])
+    assert not workloads._run_cache  # staged and loaded nothing
+    again = workloads.run_build("PinLock", "opec", profile="quick",
+                                backend="mpu")
+    assert private_store.counters.corrupt == 1
+    assert (again.halt_code, again.cycles) == (cold.halt_code, cold.cycles)
+    assert again.machine.stats.as_dict() == cold.machine.stats.as_dict()

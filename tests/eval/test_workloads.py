@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.eval import workloads
+from repro.eval import backends, workloads
+from repro.hw.backend import KNOWN_BACKENDS
 from repro.interp import blockcompile
 
 
@@ -94,8 +95,8 @@ def test_repro_jobs_typo_raises(monkeypatch, raw):
 def test_compute_all_rows_sections_and_order():
     rows = workloads.compute_all_rows(jobs=1)
     assert set(rows) == {"table1", "figure9", "table2", "figure10",
-                         "figure11", "table3", "cache", "compile",
-                         "telemetry"}
+                         "figure11", "table3", "backends", "cache",
+                         "compile", "telemetry"}
     assert set(rows["cache"]) == {"hits", "misses", "stores", "corrupt",
                                   "bytes_read", "bytes_written"}
     # Envelope protocol: conductor first, then one per app in order.
@@ -107,6 +108,13 @@ def test_compute_all_rows_sections_and_order():
     assert [r.app for r in rows["table1"]] == \
         [*workloads.APP_NAMES, "Average"]
     assert [r.app for r in rows["table3"]] == list(workloads.APP_NAMES)
+    assert [(r.app, r.backend) for r in rows["backends"]] == [
+        *((app, backend) for app in workloads.APP_NAMES
+          for backend in KNOWN_BACKENDS),
+        *(("Average", backend) for backend in KNOWN_BACKENDS)]
+    # Each app task drops its runs once its rows exist.
+    assert not [key for key in workloads._run_cache
+                if key[0] in workloads.APP_NAMES]
 
 
 def test_compute_all_rows_aggregates_compile_metrics(monkeypatch):
@@ -148,3 +156,9 @@ def test_compute_all_rows_parallel_merge_identical():
         serial.pop(diagnostic)
         parallel.pop(diagnostic)
     assert serial == parallel
+    # The row tasks' backend cells are the stand-alone matrix.
+    matrix = backends.compute_matrix(jobs=1)
+    assert serial["backends"] == matrix
+    assert parallel["backends"] == matrix
+    assert not [key for key in workloads._run_cache
+                if key[0] in workloads.APP_NAMES]

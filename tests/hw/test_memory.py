@@ -1,8 +1,11 @@
 """Unit tests for the memory map."""
 
+import pickle
+
 import pytest
 
 from repro.hw import FlashRegion, HardFault, MemoryMap, MMIORegion, RamRegion
+from repro.hw.memory import PAGE_SIZE, pack_pages, unpack_pages
 
 
 class Echo:
@@ -130,3 +133,42 @@ class TestMap:
         assert memory.find(0x105) is c
         assert memory.find(0x6) is a
         assert memory.find(0x50) is None
+
+
+class TestSparsePages:
+    @pytest.mark.parametrize("data", [
+        bytearray(3 * PAGE_SIZE),                 # all zero
+        bytearray(b"\x01" * (2 * PAGE_SIZE + 100)),  # short last page
+        bytearray(PAGE_SIZE - 1) + b"\x05",       # only the last byte
+        bytearray(PAGE_SIZE + 99) + b"\x05",      # ... of a short page
+        bytearray(),
+    ], ids=["zero", "short-tail", "last-byte", "last-byte-short", "empty"])
+    def test_roundtrip(self, data):
+        packed = pack_pages(data)
+        assert packed[0] == len(data)
+        restored = unpack_pages(packed)
+        assert type(restored) is bytearray
+        assert restored == data
+
+    def test_only_nonzero_pages_are_kept(self):
+        data = bytearray(4 * PAGE_SIZE + 10)
+        data[-1] = 0xFF
+        data[PAGE_SIZE + 7] = 1
+        _length, pages = pack_pages(data)
+        assert sorted(pages) == [1, 4]
+        assert len(pages[4]) == 10
+
+    def test_regions_pickle_sparse_and_identical(self):
+        flash = FlashRegion("f", 0x0, 64 * PAGE_SIZE)
+        flash.program(0x10, b"firmware")
+        ram = RamRegion("r", 0x20000000, 16 * PAGE_SIZE)
+        ram.write(0x20000000 + 16 * PAGE_SIZE - 4, 4, 0xDEADBEEF)
+        for region in (flash, ram):
+            blob = pickle.dumps(region)
+            assert len(blob) < 3 * PAGE_SIZE
+            restored = pickle.loads(blob)
+            assert type(restored) is type(region)
+            assert restored.data == region.data
+            assert type(restored.data) is bytearray
+            assert (restored.base, restored.size, restored.end) == \
+                (region.base, region.size, region.end)

@@ -1,5 +1,7 @@
 """Unit tests for the peripheral device models."""
 
+import pickle
+
 import pytest
 
 from repro.hw import HardFault, Machine, stm32479i_eval, stm32f4_discovery
@@ -120,6 +122,40 @@ class TestSDCard:
         words = [card.mmio_read(SDCard.FIFO, 4) for _ in range(128)]
         assert words == list(range(128))
         assert card.mmio_read(SDCard.FIFO, 4) == 0  # drained
+
+    def test_image_larger_than_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            SDCard(image=b"\x01" * (3 * 512), capacity_blocks=2)
+        card = SDCard(image=b"\x01" * (2 * 512), capacity_blocks=2)
+        assert len(card.image) == 2 * 512
+
+    def test_write_past_capacity_is_dropped(self):
+        """Regression: a CMD24 past the last block used to append its
+        data to the image, growing the card."""
+        card = SDCard(capacity_blocks=2)
+        card.machine = FakeMachine()
+        card.mmio_write(SDCard.ARG, 4, 5)
+        card.mmio_write(SDCard.CMD, 4, SDCard.CMD_WRITE_BLOCK)
+        for _ in range(128):
+            card.mmio_write(SDCard.FIFO, 4, 0xAABBCCDD)
+        assert card.image == bytearray(2 * 512)
+        assert card.writes == 0
+        # The card still accepts in-range writes afterwards.
+        card.mmio_write(SDCard.ARG, 4, 1)
+        card.mmio_write(SDCard.CMD, 4, SDCard.CMD_WRITE_BLOCK)
+        for _ in range(128):
+            card.mmio_write(SDCard.FIFO, 4, 0x11111111)
+        assert card.read_block_host(1) == b"\x11" * 512
+        assert len(card.image) == 2 * 512
+
+    def test_pickles_sparse_and_identical(self):
+        card = SDCard(image=b"\x07" * 512, capacity_blocks=4096)
+        card.arg = 9
+        restored = pickle.loads(pickle.dumps(card))
+        assert len(pickle.dumps(card)) < 16 * 1024
+        assert type(restored.image) is bytearray
+        assert restored.image == card.image
+        assert (restored.arg, restored.capacity_blocks) == (9, 4096)
 
 
 class TestDisplay:

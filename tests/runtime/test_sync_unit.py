@@ -145,6 +145,30 @@ class TestWriteBackRefresh:
             artifacts.image.public_addresses[built]
 
 
+class TestSramBounds:
+    """Copies slice SRAM directly, so an operation whose shadow or
+    public original is not wholly inside SRAM is refused before its
+    first copy."""
+
+    @pytest.mark.parametrize("which", ["public", "shadow"])
+    def test_copy_outside_sram_is_refused(self, which):
+        artifacts, machine = _world(_shared_module, SPECS)
+        image = artifacts.image
+        op1 = artifacts.policy.operation_by_entry("t1")
+        shared = artifacts.module.get_global("shared")
+        if which == "public":
+            image.public_addresses[shared] = machine.board.flash_base
+        else:
+            # Straddles the SRAM end by two bytes.
+            image.shadow_addresses[(op1.index, shared)] = \
+                machine.sram.end - 2
+        sync = DataSynchronizer(machine, image)
+        before = bytes(machine.sram.data)
+        with pytest.raises(ValueError, match="not inside SRAM"):
+            sync.refresh(op1)
+        assert bytes(machine.sram.data) == before
+
+
 class TestPointerRedirection:
     def _pointer_module(self):
         module = ir.Module("ptrs")

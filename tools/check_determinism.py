@@ -5,15 +5,17 @@ Re-runs the full evaluation export (``repro.eval.export``) under the
 same profile the committed ``results/`` were produced with
 (``REPRO_PROFILE=quick``) **five times** — once against an empty
 artifact cache (cold, populating it), once against the now-populated
-cache (every build/run rehydrated from disk), once with
+cache with two workers (``REPRO_JOBS=2``: every build/run rehydrated
+from disk, as in the end-to-end benchmark's warm export), once with
 ``REPRO_CACHE=off``, once with ``REPRO_BLOCKCOMPILE=off`` (the
 single-step reference interpreter), and once with
 ``REPRO_TRACEFUSE=off`` (per-block execution without loop fusion) —
 and compares every file of every pass byte-for-byte against the
-committed tree.  That is the whole contract of the fast paths: a cache
-hit may only ever change *when* you get the bytes, and block
-compilation / trace fusion only *how fast* the simulated machine is
-stepped — never *which* bytes you get.
+committed tree.  Every pass but the warm one runs serially.  That is
+the whole contract of the fast paths: a cache hit may only ever change
+*when* you get the bytes, and block compilation / trace fusion only
+*how fast* the simulated machine is stepped — never *which* bytes you
+get.
 
 The single tolerated exception is the analysis wall-clock column of
 Table 3 (``time_s`` / ``Time(s)``): it measures the host machine, not
@@ -187,6 +189,7 @@ def main() -> int:
     committed = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "results"
     env = dict(os.environ)
     env["REPRO_PROFILE"] = "quick"
+    env.pop("REPRO_JOBS", None)
     env.setdefault("PYTHONPATH", str(REPO / "src"))
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
@@ -197,8 +200,11 @@ def main() -> int:
         if entries == 0:
             failures.append(
                 "[cache-cold] export populated no cache entries")
-        # Pass 2: same store, now warm — every artifact rehydrated.
+        # Pass 2: same store, now warm — every artifact rehydrated,
+        # by two workers.
+        env["REPRO_JOBS"] = "2"
         check_export(committed, env, "cache-warm", failures)
+        del env["REPRO_JOBS"]
         # Pass 3: store bypassed entirely.
         env["REPRO_CACHE"] = "off"
         check_export(committed, env, "cache-off", failures)
@@ -223,7 +229,8 @@ def main() -> int:
         print("\n".join(failures))
         return 1
     print(f"determinism check passed: {count} files bit-identical across "
-          f"cold-cache, warm-cache ({entries} entries), cache-off, "
+          f"cold-cache, two-worker warm-cache ({entries} entries), "
+          "cache-off, "
           "blockcompile-off and tracefuse-off exports (table3 host "
           "wall-clock column and fleet host sections masked), fleet "
           "sim domain byte-identical across --jobs 1/2, and "
