@@ -20,9 +20,9 @@ changes have a perf trajectory to compare against:
 * ``pinlock_opec_blockcompile`` — PinLock/OPEC/mpu with block
   compilation on: the superinstruction path through the monitor,
   SVC boundaries, and MemManage retries;
-* ``batch_throughput`` — N lanes of the throughput firmware
-  multiplexed through one process by the batch runner, sharing one
-  image and one set of compiled block closures;
+* ``batch_throughput`` — N lanes of the throughput firmware run
+  through one process by the batch runner, sharing one image and one
+  set of compiled block closures;
 * ``tracefuse_throughput`` / ``tracefuse_throughput_blocks`` — an
   ALU-heavy hot loop (the shape where fusing whole iterations under
   one batched cycle charge pays most) with loop-trace fusion on vs

@@ -105,11 +105,6 @@ class ArtifactStore:
 
     # -- read/write ---------------------------------------------------
 
-    def contains(self, digest: str) -> bool:
-        """Whether an entry exists; it is not decoded, so a corrupt one
-        still counts until :meth:`get` evicts it."""
-        return self.path_for(digest).is_file()
-
     def get(self, digest: str) -> Optional[Any]:
         """The stored object, or ``None`` on miss/corruption."""
         # ``wall_us`` on the lookup events is host-side diagnostics

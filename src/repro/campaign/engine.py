@@ -15,8 +15,8 @@ index order, and each finished :class:`FirmwareReport` is itself
 persisted in the artifact store, so re-running a campaign with a warm
 store replays no simulation at all.  Either way the merged
 :class:`CampaignResult` — and the report rendered from it — is
-byte-identical: same seed, same bytes, regardless of job count, lane
-interleaving, cache temperature, or ``PYTHONHASHSEED``.
+byte-identical: same seed, same bytes, regardless of job count, cache
+temperature, or ``PYTHONHASHSEED``.
 
 Outcome classification per attack lane:
 

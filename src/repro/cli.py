@@ -17,9 +17,9 @@ Usage (``python -m repro.cli <command>``):
   (counters + cycle histograms);
 * ``cache stats|clear|verify|fingerprint`` — inspect or maintain the
   content-addressed artifact cache (see ``REPRO_CACHE``);
-* ``bench batch APP [--lanes N]`` — multiplex N copies of a build
-  through one process via the batch runner (lane count defaults to
-  ``REPRO_BATCH``) and report per-lane results plus throughput;
+* ``bench batch APP [--lanes N]`` — run N copies of a build (default
+  8) through one process via the batch runner and report per-lane
+  results plus throughput;
 * ``campaign [--seed N] [--firmwares N] [--attacks ...]`` — run a
   differential security campaign over a seeded random-firmware corpus
   and print the containment / over-privilege / switch-cost report;
@@ -235,21 +235,32 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _lane_count(raw: str) -> int:
+    """``--lanes``: a positive integer; argparse reports anything else."""
+    try:
+        lanes = int(raw)
+    except ValueError:
+        lanes = 0
+    if lanes < 1:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a positive integer")
+    return lanes
+
+
 def _cmd_bench(args) -> int:
     import time
 
     from .eval.workloads import build_app, opec_artifacts
-    from .interp.batch import BatchRunner, batch_lanes
+    from .interp.batch import BatchRunner
     from .pipeline import build_vanilla
 
-    lanes = args.lanes if args.lanes is not None else batch_lanes()
     app = build_app(args.app, profile=args.profile)
     if args.build == "opec":
         image = opec_artifacts(args.app, profile=args.profile).image
     else:
         image = build_vanilla(app.module, app.board)
     runner = BatchRunner()
-    for _ in range(lanes):
+    for _ in range(args.lanes):
         runner.add(image, setup=app.setup,
                    max_instructions=app.max_instructions,
                    backend=args.backend)
@@ -266,7 +277,7 @@ def _cmd_bench(args) -> int:
         print(f"{lane.name}: halt={lane.halt_code} "
               f"cycles={lane.cycles} insts={executed}")
     rate = insts / wall if wall else 0.0
-    print(f"{lanes} lanes [{args.build}] of {args.app}: "
+    print(f"{args.lanes} lanes [{args.build}] of {args.app}: "
           f"{insts} instructions in {wall:.3f}s ({rate:,.0f} insts/s)")
     print(result.compile_metrics.render("aggregate compile metrics"))
     return 1 if result.failed else 0
@@ -448,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("app")
     bench.add_argument("--build", default="opec",
                        choices=["vanilla", "opec"])
-    bench.add_argument("--lanes", type=int, default=None,
-                       help="lane count (default: REPRO_BATCH or 8)")
+    bench.add_argument("--lanes", type=_lane_count, default=8,
+                       help="lane count (default: 8)")
     bench.add_argument("--profile", default="quick",
                        choices=["quick", "paper"])
     bench.add_argument("--backend", default=None, choices=BACKEND_CHOICES,

@@ -25,8 +25,9 @@ Row order is fixed — apps in :data:`APP_NAMES` order, backends in
 :data:`KNOWN_BACKENDS` order, per-backend ``Average`` rows last — so
 the rendered report is byte-deterministic and safe to commit under
 ``results/``.  :func:`app_cells` computes one application's cells from
-runs it stages as lanes of one batch; the export gets them from each
-application's row task (:func:`repro.eval.workloads.compute_all_rows`),
+:func:`~repro.eval.workloads.run_build` runs; the export gets them from
+each application's row task
+(:func:`repro.eval.workloads.compute_all_rows`),
 and :func:`compute_matrix` maps :func:`app_cells` over the applications
 through the same fan-out, so with ``REPRO_JOBS`` > 1 applications run
 concurrently while the merged output stays identical to the serial
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..hw.backend import KNOWN_BACKENDS
-from .workloads import (APP_NAMES, active_profile, map_apps, prefetch_runs,
-                        run_build)
+from .workloads import APP_NAMES, map_apps, run_build
 
 
 @dataclass
@@ -84,20 +84,9 @@ def compute_cell(name: str, backend: str,
     )
 
 
-def matrix_runs(backends: Sequence[str] = KNOWN_BACKENDS
-                ) -> list[tuple[str, str]]:
-    """The (build flavour, backend) runs behind one app's cells: its
-    OPEC build per backend and the shared MPU-vanilla baseline."""
-    return [*(("opec", backend) for backend in backends), ("vanilla", "mpu")]
-
-
 def app_cells(name: str, backends: Sequence[str] = KNOWN_BACKENDS,
               profile: Optional[str] = None) -> list[BackendRow]:
-    """One app's cells, in ``backends`` order.  The runs the cells need
-    and neither the in-process memo nor the artifact store holds are
-    simulated as lanes of one batch first."""
-    profile = profile or active_profile()
-    prefetch_runs(name, profile, matrix_runs(backends))
+    """One app's cells, in ``backends`` order."""
     return [compute_cell(name, backend, profile) for backend in backends]
 
 

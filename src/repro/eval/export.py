@@ -28,8 +28,8 @@ and figure and writes:
 
 The table, figure and backend rows come from one
 :func:`repro.eval.workloads.compute_all_rows` call: one task per
-application simulates the runs its rows and cells need that the
-artifact store lacks in one batch, and reads each stored run once.
+application simulates each run its rows and cells need that the
+artifact store lacks, and reads each stored run once.
 ``REPRO_JOBS`` > 1 runs those tasks concurrently while the written
 files stay bit-identical to a serial export.
 """

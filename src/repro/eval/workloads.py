@@ -16,7 +16,9 @@ builds and completed simulation results across processes.  Set
 
 :func:`map_apps` is the evaluation fan-out: one task per application,
 run serially in-process or — with ``REPRO_JOBS`` > 1 — in a process
-pool, results in the order of the applications.  Both
+pool, results in the order of the applications.  A task simulates a
+run through :func:`run_build` when a row or cell first asks for it,
+on the same interpreter loop as every other run.  Both
 :func:`compute_all_rows` (every table/figure row of §6 plus the
 backend matrix's cells) and :func:`repro.eval.backends.compute_matrix`
 go through it, so the rendered output is byte-identical either way.
@@ -199,95 +201,24 @@ def _run_kinds(name: str) -> tuple[str, ...]:
     return kinds
 
 
-def prefetch_runs(name: str, profile: str,
-                  runs: Sequence[tuple[str, str]]) -> None:
-    """Simulate the ``(kind, backend)`` runs of one app that neither
-    the memo nor the artifact store holds, as one batch (a run listed
-    twice is staged once).
-
-    The row computations need the same runs several times across
-    their tables and figures; :func:`run_build` memoises them, but
-    serially the runs would still execute one after another.  Staging
-    the missing runs as lanes of a single
-    :class:`~repro.interp.batch.BatchRunner` interleaves them at block
-    granularity inside this worker — one warm-up, shared compiled
-    closures across flavours and backends of the same module — while
-    lane isolation keeps each result bit-identical to the solo
-    ``run_build`` it stands in for (same memo key, same store digest,
-    same ``verify_run`` checks).  A lane failure re-raises exactly
-    what the serial path would have raised, in the serial request
-    order.  A run the store holds is left for :func:`run_build` to
-    load when a row or cell asks for it (a corrupt entry is then
-    simulated there, solo).
-    """
-    from ..interp.batch import BatchRunner, LaneFailure
-
-    app = build_app(name, profile)
-    store = cache.active_store()
-    runner = None
-    staged = []
-    for kind, backend in dict.fromkeys(runs):
-        key = (name, kind, profile, backend)
-        if key in _run_cache:
-            continue
-        digest = ""
-        if store is not None:
-            digest = _run_digest(app, name, kind, profile, backend)
-            if store.contains(digest):
-                continue
-        if kind == "vanilla":
-            image = build_vanilla(app.module, app.board)
-        elif kind == "opec":
-            image = opec_artifacts(name, profile).image
-        else:
-            image = aces_artifacts(name, kind, profile).image
-        if runner is None:
-            runner = BatchRunner()
-        lane = runner.add(image, name=f"{name}:{kind}:{backend}",
-                          setup=app.setup,
-                          max_instructions=app.max_instructions,
-                          backend=backend)
-        staged.append((key, digest, lane))
-    if runner is None:
-        return
-    fleet.record_simulation(
-        compile_metrics=runner.run().compile_metrics)
-    for key, digest, lane in staged:
-        if lane.error is not None:
-            if isinstance(lane.error, LaneFailure):
-                raise lane.error.original
-            raise lane.error
-        result = RunResult(
-            halt_code=lane.halt_code, cycles=lane.machine.cycles,
-            machine=lane.machine, interpreter=lane.interpreter,
-            hooks=lane.hooks,
-        )
-        fleet.record_simulation(result.machine.metrics)
-        app.verify_run(result.machine, result.halt_code)
-        if store is not None:
-            store.put(digest, result)
-        _run_cache[key] = result
-
-
 def _compute_app_rows(name: str, backend: str) -> dict:
     """Every §6 row that concerns one application, under the ambient
     profile, plus its backend-matrix cells (``"backends"``).
     ``backend`` reaches the run-based rows (Figure 9, Table 2) as an
     explicit parameter; the remaining rows are static analyses with no
-    enforcement substrate.  Every run the rows and cells need that
-    the store lacks is simulated in one batch.  Row objects are plain
-    dataclasses of primitives, so they cross a process boundary."""
+    enforcement substrate.  Each run is simulated (or loaded from the
+    store) by :func:`run_build` when a cell or row first asks for it.
+    Row objects are plain dataclasses of primitives, so they cross a
+    process boundary."""
     from . import backends, figure9, figure10, figure11, table1, table2, table3
 
     profile = active_profile()
-    row_runs = [(kind, backend) for kind in _run_kinds(name)]
-    prefetch_runs(name, profile, [*row_runs, *backends.matrix_runs()])
     # Cells first: the runs only they need leave before the rows load
-    # theirs, so on a warm store the task holds no more machines at
-    # once than its rows alone would.
+    # theirs, so the task holds no more machines at once than its rows
+    # alone would.
     cells = backends.app_cells(name, profile=profile)
-    _drop_runs(name, keep={(name, kind, profile, run_backend)
-                           for kind, run_backend in row_runs})
+    _drop_runs(name, keep={(name, kind, profile, backend)
+                           for kind in _run_kinds(name)})
     rows: dict = {
         "table1": table1.compute_row(name),
         "figure9": figure9.compute_row(name, backend=backend),
@@ -315,7 +246,12 @@ def _run_app_task(task: Callable[[str], object],
     """``task(name)`` inside a telemetry capture window; the app's runs
     are dropped once the task is done.  A capture window, not process
     totals: the pool reuses its processes, so one worker computes
-    several apps back to back."""
+    several apps back to back.  Also the process-pool entry point:
+    ``task`` is a module-level function or a ``functools.partial`` of
+    one, and a worker inherits the parent's environment as it is
+    (profile, ``REPRO_CACHE`` and the rest), so workers share the
+    parent's on-disk store and only the first process to need a build
+    or run pays for it."""
     token = fleet.begin_capture()
     try:
         result = task(name)
@@ -323,20 +259,6 @@ def _run_app_task(task: Callable[[str], object],
         envelope = fleet.end_capture(token, label=name)
         _drop_runs(name)
     return result, envelope
-
-
-def _app_task_worker(job: tuple[Callable[[str], object], str, str]
-                     ) -> tuple[object, fleet.WorkerTelemetry]:
-    """Process-pool entry point: pin the worker's profile (an ambient
-    setting many helpers default from) and run one app's task.
-    Everything else the task depends on travels in ``task`` (a
-    module-level function or a ``functools.partial`` of one).  Workers
-    share the parent's on-disk artifact store (``REPRO_CACHE`` is
-    inherited), so only the first process to need a build or run pays
-    for it."""
-    task, name, profile = job
-    os.environ["REPRO_PROFILE"] = profile
-    return _run_app_task(task, name)
 
 
 def map_apps(task: Callable[[str], object], names: Sequence[str],
@@ -350,11 +272,9 @@ def map_apps(task: Callable[[str], object], names: Sequence[str],
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        profile = active_profile()
         with ProcessPoolExecutor(
                 max_workers=min(jobs, len(names))) as pool:
-            return list(pool.map(
-                _app_task_worker, [(task, name, profile) for name in names]))
+            return list(pool.map(_run_app_task, [task] * len(names), names))
     return [_run_app_task(task, name) for name in names]
 
 
@@ -365,13 +285,13 @@ def compute_all_rows(jobs: Optional[int] = None,
     ``Average`` rows, as :func:`repro.eval.backends.compute_matrix`
     returns them).
 
-    Each application is one :func:`map_apps` task that simulates, in
-    one batch, the runs its rows and cells need that the store lacks,
-    and drops the app's runs once its rows exist.  With ``jobs``
-    (default: ``REPRO_JOBS``) > 1 the tasks run in a process pool; the
-    per-app rows are merged in fixed ``APP_NAMES`` order, so the
-    result — and everything rendered from it — is identical to the
-    serial path.
+    Each application is one :func:`map_apps` task that simulates each
+    run its rows and cells need when one first asks for it (unless the
+    store holds it), and drops the app's runs once its rows exist.
+    With ``jobs`` (default: ``REPRO_JOBS``) > 1 the tasks run in a
+    process pool; the per-app rows are merged in fixed ``APP_NAMES``
+    order, so the result — and everything rendered from it — is
+    identical to the serial path.
 
     The returned mapping carries three extra, non-table keys.
     ``"cache"``: aggregate artifact-cache hit/miss/bytes counters

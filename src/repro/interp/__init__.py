@@ -11,7 +11,7 @@ from .costs import (
     SWITCH_BASE_COST,
     SYNC_WORD_COST,
 )
-from .batch import BatchLane, BatchResult, BatchRunner, batch_lanes
+from .batch import BatchLane, BatchResult, BatchRunner
 from .blockcompile import (
     BLOCKCOMPILE_OFF_VALUES,
     BLOCKCOMPILE_ON_VALUES,
@@ -21,12 +21,10 @@ from .blockcompile import (
 from .hooks import RuntimeHooks
 from .interpreter import ExecutionLimitExceeded, Frame, Interpreter
 from .tracefuse import (
-    DEFAULT_TRACE_THRESHOLD,
     TRACEFUSE_OFF_VALUES,
     TRACEFUSE_ON_VALUES,
     compile_trace,
     trace_fuse_enabled,
-    trace_threshold,
 )
 
 __all__ = [
@@ -35,8 +33,8 @@ __all__ = [
     "SWITCH_BASE_COST", "SYNC_WORD_COST",
     "BLOCKCOMPILE_OFF_VALUES", "BLOCKCOMPILE_ON_VALUES",
     "block_compile_enabled", "compile_block",
-    "DEFAULT_TRACE_THRESHOLD", "TRACEFUSE_OFF_VALUES", "TRACEFUSE_ON_VALUES",
-    "compile_trace", "trace_fuse_enabled", "trace_threshold",
-    "BatchLane", "BatchResult", "BatchRunner", "batch_lanes",
+    "TRACEFUSE_OFF_VALUES", "TRACEFUSE_ON_VALUES",
+    "compile_trace", "trace_fuse_enabled",
+    "BatchLane", "BatchResult", "BatchRunner",
     "RuntimeHooks", "ExecutionLimitExceeded", "Frame", "Interpreter",
 ]

@@ -1,4 +1,4 @@
-"""Batched simulation: N machines multiplexed through one process.
+"""Batched simulation: N machines run through one process.
 
 Sweeps (backend comparisons, parameter scans, differential fuzzing)
 spend most of their wall-clock re-running the same firmware under
@@ -13,12 +13,12 @@ pays them once:
   (``block._compiled``) and are image- and machine-independent by
   construction, so lane 0's compilation warms every other lane.
 
-* **Block-granular round-robin.**  Each scheduling quantum is one
-  compiled-block entry (or one reference step on fallback paths) via
-  :meth:`~repro.interp.interpreter.Interpreter.advance`.  Lanes are
-  fully isolated — separate machines, monitors, recorders — so the
-  interleaving cannot change any lane's simulated outcome; a batched
-  lane's cycles, stats, and halt code are bit-identical to a solo run.
+* **One loop.**  :meth:`BatchRunner.run` drives each lane to halt
+  with :meth:`~repro.interp.interpreter.Interpreter.resume`, in
+  ``add`` order: the same dispatch loop a solo run executes.  Lanes
+  are fully isolated — separate machines, monitors, recorders — so a
+  batched lane's cycles, stats, and halt code are bit-identical to a
+  solo run.
 
 * **Fault isolation.**  A lane that dies — on a terminal
   :class:`~repro.hw.exceptions.MachineError` *or* on any other
@@ -34,14 +34,10 @@ pays them once:
   collection.  The crash context rides on the error itself; a
   ``LaneFailure`` keeps its original's traceback, the host defect's
   only diagnostic.
-
-``REPRO_BATCH`` supplies a default lane count for harnesses
-(``repro bench batch``); like the other knobs it validates loudly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -50,8 +46,6 @@ from ..hw.machine import Machine
 from ..obs.metrics import MetricsRegistry
 from .hooks import RuntimeHooks
 from .interpreter import Interpreter
-
-DEFAULT_LANES = 8
 
 
 class LaneFailure(MachineError):
@@ -85,29 +79,6 @@ def _drop_tracebacks(error: BaseException) -> None:
         chain += (error.__cause__, error.__context__)
 
 
-def batch_lanes(default: int = DEFAULT_LANES) -> int:
-    """Lane count requested via ``REPRO_BATCH`` (default ``default``).
-
-    Misspellings raise instead of silently running a different sweep
-    width under a benchmark — and a non-numeric value reports itself
-    as such instead of masquerading as a lane-count range error.
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw == "":
-        return default
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH={raw!r} is not an integer"
-        ) from None
-    if lanes < 1:
-        raise ValueError(
-            f"REPRO_BATCH={raw!r} is not a positive lane count"
-        )
-    return lanes
-
-
 @dataclass
 class BatchLane:
     """One simulated machine in the fleet."""
@@ -118,11 +89,6 @@ class BatchLane:
     hooks: RuntimeHooks
     halt_code: Optional[int] = None
     error: Optional[MachineError] = None
-    quanta: int = 0
-
-    @property
-    def finished(self) -> bool:
-        return self.halt_code is not None or self.error is not None
 
     @property
     def cycles(self) -> int:
@@ -144,7 +110,7 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Round-robin executor for a fleet of simulated machines.
+    """Executor for a fleet of simulated machines.
 
     Usage::
 
@@ -199,37 +165,23 @@ class BatchRunner:
         return lane
 
     def run(self) -> BatchResult:
-        """Drive every lane to halt (or terminal fault), round-robin."""
-        active = list(self.lanes)
-        while active:
-            still = []
-            for lane in active:
-                try:
-                    running = lane.interpreter.advance()
-                except MachineError as error:
-                    _drop_tracebacks(error)
-                    lane.error = error
-                    continue
-                except Exception as error:  # noqa: BLE001 — isolation
-                    lane.error = LaneFailure(lane.name, error)
-                    continue
-                lane.quanta += 1
-                if running:
-                    still.append(lane)
-                else:
-                    lane.halt_code = lane.interpreter.halt_code
-            active = still
+        """Drive each lane to halt (or terminal fault), in ``add`` order."""
         result = BatchResult(lanes=list(self.lanes))
-        for lane in self.lanes:
+        for lane in result.lanes:
+            try:
+                lane.halt_code = lane.interpreter.resume()
+            except MachineError as error:
+                _drop_tracebacks(error)
+                lane.error = error
+            except Exception as error:  # noqa: BLE001 — isolation
+                lane.error = LaneFailure(lane.name, error)
             result.compile_metrics.merge(lane.interpreter.compile_metrics)
         return result
 
 
 __all__ = [
-    "DEFAULT_LANES",
     "BatchLane",
     "BatchResult",
     "BatchRunner",
     "LaneFailure",
-    "batch_lanes",
 ]

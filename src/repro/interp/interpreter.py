@@ -89,7 +89,8 @@ from .closurecache import (
 )
 from .costs import DEFAULT_COST, DIV_COST, INSTRUCTION_COSTS
 from .hooks import RuntimeHooks
-from .tracefuse import compile_trace, trace_fuse_enabled, trace_threshold
+from . import tracefuse as _tracefuse
+from .tracefuse import compile_trace, trace_fuse_enabled
 
 _WORD = 0xFFFFFFFF
 _MAX_FAULT_RETRIES = 16
@@ -165,7 +166,7 @@ class Interpreter:
         if trace_fuse is None:
             trace_fuse = self.block_compile and trace_fuse_enabled()
         self.trace_fuse = self.block_compile and bool(trace_fuse)
-        self._trace_threshold = trace_threshold() if self.trace_fuse else 0
+        self._fuse_threshold = _tracefuse.TRACE_THRESHOLD
         self.compile_metrics = MetricsRegistry()
         self._n_blocks_compiled = self.compile_metrics.counter(
             "blockcompile.blocks_compiled")
@@ -221,9 +222,15 @@ class Interpreter:
 
     def run(self, entry: str = "main", args: tuple[int, ...] = ()) -> int:
         """Reset the system, run ``entry``, return the halt code."""
+        self.start(entry, args)
+        return self.resume()
+
+    def start(self, entry: str = "main", args: tuple[int, ...] = ()) -> None:
+        """Reset and stage ``entry`` without executing anything; a later
+        :meth:`resume` runs it.  The batch runner stages every lane's
+        machine this way before it runs any of them."""
         self.hooks.on_reset(self)
         self.call_function(self.image.module.get_function(entry), list(args))
-        return self.resume()
 
     def resume(self) -> int:
         """Execute until halt; returns the firmware's halt code."""
@@ -244,81 +251,8 @@ class Interpreter:
         # ``main`` returned without halting: treat as a clean stop.
         return self._finish_halt(0, "main-return")
 
-    def start(self, entry: str = "main", args: tuple[int, ...] = ()) -> None:
-        """Reset and stage ``entry`` without executing anything.
-
-        Incremental counterpart of :meth:`run` for callers that drive
-        execution themselves via :meth:`advance` (the batch runner).
-        """
-        self.hooks.on_reset(self)
-        self.call_function(self.image.module.get_function(entry), list(args))
-
-    def advance(self) -> bool:
-        """Execute one scheduling quantum; ``False`` once halted.
-
-        A quantum is one compiled-block entry — or one reference
-        ``step()`` on the fallback paths (pending IRQ boundary, IRQ
-        window, uncompilable block, block compilation disabled) — so
-        the batch runner round-robins lanes at block granularity.
-        Halt handling matches :meth:`resume` exactly; terminal faults
-        propagate with crash context attached.
-        """
-        machine = self.machine
-        if not self.frames:
-            if self.halt_code is None:
-                self._finish_halt(0, "main-return")
-            return False
-        try:
-            if (self.block_compile and not machine.pending_irqs
-                    and self._irq_depth == 0):
-                frame = self.frames[-1]
-                block = frame.block
-                entered_trace = False
-                if (self.trace_fuse and frame.index == 0
-                        and not machine._systick_armed):
-                    try:
-                        tr = block._trace
-                    except AttributeError:
-                        tr = block._trace = 0
-                    if tr is not None:
-                        if tr.__class__ is int:
-                            tr += 1
-                            if tr >= self._trace_threshold:
-                                tr = self._compile_trace(block)
-                            else:
-                                block._trace = tr
-                                tr = None
-                        if tr is not None and tr(self, frame, machine):
-                            self._n_trace_entries.value += 1
-                            entered_trace = True
-                if not entered_trace:
-                    try:
-                        fn = block._compiled
-                    except AttributeError:
-                        fn = self._compile(block)
-                    if fn is None:
-                        self._n_fallback_steps.value += 1
-                        self.step()
-                    else:
-                        self._n_block_entries.value += 1
-                        fn(self, frame, machine, frame.index)
-            else:
-                if self.block_compile:
-                    self._n_fallback_steps.value += 1
-                self.step()
-        except MachineHalt as halt:
-            self._finish_halt(halt.code, f"halt({halt.code})")
-            return False
-        except MachineError as error:
-            attach_crash_context(error, machine.recorder, machine.cycles)
-            raise
-        if not self.frames:
-            self._finish_halt(0, "main-return")
-            return False
-        return True
-
     def _finish_halt(self, code: int, label: str) -> int:
-        """Record the halt event and code (shared by all run modes)."""
+        """Record the halt event and code."""
         self.halt_code = code
         machine = self.machine
         recorder = machine.recorder
@@ -353,7 +287,7 @@ class Interpreter:
         entries = self._n_block_entries
         fallbacks = self._n_fallback_steps
         trace_fuse = self.trace_fuse
-        threshold = self._trace_threshold
+        threshold = self._fuse_threshold
         trace_entries = self._n_trace_entries
         while frames:
             if (pending and self._irq_depth == 0) or self._irq_depth > 0:

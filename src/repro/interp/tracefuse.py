@@ -42,8 +42,8 @@ Semantics are the block compiler's, batched harder:
   dispatch loop falls through to the per-block tier instead of
   re-entering the trace forever).
 
-Traces compile once a block has been entered ``REPRO_TRACEFUSE_THRESHOLD``
-times (default 8) at index 0 with IRQs quiet, and are cached on the IR
+Traces compile once a block has been entered ``TRACE_THRESHOLD`` (8)
+times at index 0 with IRQs quiet, and are cached on the IR
 (``block._trace``) — shared by every interpreter and batch lane, and
 dropped on pickle like ``_compiled``.  ``REPRO_TRACEFUSE`` (default
 **on**) gates the tier; unknown spellings raise loudly.
@@ -70,8 +70,9 @@ from .blockcompile import (
 TRACEFUSE_ON_VALUES = frozenset({"", "on", "1", "true", "yes", "enabled"})
 TRACEFUSE_OFF_VALUES = frozenset({"off", "0", "none", "false", "disabled"})
 
-#: Block entries (at index 0, IRQs quiet) before a trace is attempted.
-DEFAULT_TRACE_THRESHOLD = 8
+#: Block entries (at index 0, IRQs quiet) before a trace is attempted;
+#: each interpreter reads it when it is constructed.
+TRACE_THRESHOLD = 8
 
 #: Chain caps: a runaway walk must not fuse half a program.
 MAX_TRACE_BLOCKS = 16
@@ -94,29 +95,6 @@ def trace_fuse_enabled() -> bool:
         f"use one of {sorted(TRACEFUSE_ON_VALUES - {''})} or "
         f"{sorted(TRACEFUSE_OFF_VALUES)}"
     )
-
-
-def trace_threshold() -> int:
-    """Hot threshold from ``REPRO_TRACEFUSE_THRESHOLD`` (default 8).
-
-    Validated loudly, distinguishing "not an integer" from a value
-    that *is* an integer but out of range — the ``REPRO_BATCH`` rule.
-    """
-    raw = os.environ.get("REPRO_TRACEFUSE_THRESHOLD", "").strip()
-    if not raw:
-        return DEFAULT_TRACE_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TRACEFUSE_THRESHOLD={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_TRACEFUSE_THRESHOLD={raw!r} is not a positive "
-            f"entry count"
-        )
-    return value
 
 
 class _Unfusible(Exception):
@@ -361,12 +339,11 @@ def compile_trace(block: BasicBlock) -> Optional[Callable]:
 
 
 __all__ = [
-    "DEFAULT_TRACE_THRESHOLD",
     "MAX_TRACE_BLOCKS",
     "MAX_TRACE_INSTS",
     "TRACEFUSE_OFF_VALUES",
     "TRACEFUSE_ON_VALUES",
+    "TRACE_THRESHOLD",
     "compile_trace",
     "trace_fuse_enabled",
-    "trace_threshold",
 ]

@@ -17,7 +17,7 @@ from repro.eval import workloads
 from repro.hw import Machine, stm32f4_discovery
 from repro.image import build_vanilla_image
 from repro.interp import Interpreter
-from repro.interp import closurecache
+from repro.interp import closurecache, tracefuse
 from repro.ir import I32
 
 
@@ -28,7 +28,7 @@ def private_store(tmp_path, monkeypatch):
     # mode (the CI matrix runs the suite with the tiers disabled too).
     monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on")
     monkeypatch.setenv("REPRO_TRACEFUSE", "on")
-    monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+    monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
     workloads.clear_caches()
     cache.reset_store_state()
     yield cache.active_store()
@@ -164,7 +164,7 @@ def test_damaged_entry_degrades_to_recompile(private_store):
 
 def test_cache_off_is_a_quiet_noop(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "off")
-    monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+    monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
     cache.reset_store_state()
     try:
         interp, _ = _run(_loop_module())

@@ -114,8 +114,8 @@ def test_corrupt_store_entry_recovers_with_cold_build(private_store):
 
 
 def test_corrupt_run_entry_is_simulated_again(private_store):
-    """``prefetch_runs`` leaves a stored run to ``run_build`` without
-    decoding it, so a corrupt entry surfaces there and is re-run."""
+    """A corrupt stored run surfaces in ``run_build``'s ``get`` and is
+    simulated again, to the same result."""
     cold = workloads.run_build("PinLock", "opec", profile="quick",
                                backend="mpu")
     app = workloads.build_app("PinLock", profile="quick")
@@ -123,8 +123,6 @@ def test_corrupt_run_entry_is_simulated_again(private_store):
     private_store.path_for(digest).write_bytes(
         b"opec-cache-v1\n" + b"0" * 64 + b"\ngarbage")
     workloads.clear_caches()
-    workloads.prefetch_runs("PinLock", "quick", [("opec", "mpu")])
-    assert not workloads._run_cache  # staged and loaded nothing
     again = workloads.run_build("PinLock", "opec", profile="quick",
                                 backend="mpu")
     assert private_store.counters.corrupt == 1

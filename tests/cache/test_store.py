@@ -24,11 +24,11 @@ def _digest(tag: str) -> str:
 
 def test_put_get_roundtrip(store):
     payload = {"rows": [1, 2, 3], "name": "PinLock"}
-    assert not store.contains(_digest("a"))
+    assert not store.path_for(_digest("a")).is_file()
     size = store.put(_digest("a"), payload)
     assert size > 0
-    assert store.contains(_digest("a"))
-    assert store.counters.hits == 0  # contains decodes nothing
+    assert store.path_for(_digest("a")).is_file()
+    assert store.counters.hits == 0
     assert store.get(_digest("a")) == payload
     assert store.counters.stores == 1
     assert store.counters.hits == 1
@@ -48,11 +48,10 @@ def test_corrupted_entry_falls_back_to_miss(store):
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF  # flip a payload bit: hash check must catch it
     path.write_bytes(bytes(raw))
-    assert store.contains(digest)  # until a get decodes it
+    assert path.is_file()  # until a get decodes it
     assert store.get(digest) is None
     assert store.counters.corrupt == 1
-    assert not path.exists()  # corrupt entries are evicted
-    assert not store.contains(digest)
+    assert not path.is_file()  # corrupt entries are evicted
     # The caller's cold rebuild repopulates the slot.
     store.put(digest, [1, 2, 3])
     assert store.get(digest) == [1, 2, 3]

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_list(capsys):
@@ -124,6 +124,28 @@ def test_fleet_knobs_rejected_loudly():
         main(["fleet", "PinLock", "--jobs", "0"])
     with pytest.raises(ValueError, match="invalid ring capacity"):
         main(["fleet", "PinLock", "--jobs", "1", "--buf", "-5"])
+
+
+def test_bench_lanes_default():
+    args = build_parser().parse_args(["bench", "batch", "PinLock"])
+    assert args.lanes == 8
+
+
+def test_bench_lanes_explicit():
+    args = build_parser().parse_args(
+        ["bench", "batch", "PinLock", "--lanes", "5"])
+    assert args.lanes == 5
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "many", "2.5"])
+def test_bench_lanes_rejected_loudly(capsys, raw):
+    """Anything but a positive integer stops at the parser instead of
+    running a different number of lanes."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "batch", "PinLock", "--lanes", raw])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--lanes" in err and "not a positive integer" in err
 
 
 def test_eval_table3(capsys):

@@ -92,6 +92,44 @@ def test_repro_jobs_typo_raises(monkeypatch, raw):
         workloads.repro_jobs()
 
 
+def _profile_seen(name):
+    return name, os.environ.get("REPRO_PROFILE")
+
+
+def test_map_apps_workers_see_the_parent_profile(monkeypatch):
+    """Pool workers inherit the parent's environment as it is when
+    ``map_apps`` runs; nothing re-exports the profile to them."""
+    monkeypatch.setenv("REPRO_PROFILE", "paper")
+    results = workloads.map_apps(_profile_seen, ["PinLock", "CoreMark"],
+                                 jobs=2)
+    assert [seen for seen, _envelope in results] == \
+        [("PinLock", "paper"), ("CoreMark", "paper")]
+
+
+def test_app_row_task_simulates_each_run_once(monkeypatch):
+    """Store off, one app's row task simulates every distinct
+    ``(kind, backend)`` run its cells and rows ask for exactly once."""
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    workloads.clear_caches()
+    simulated = []
+    run_image = workloads.run_image
+
+    def counting_run_image(image, **kwargs):
+        simulated.append((getattr(image, "strategy", image.kind),
+                          kwargs["backend"]))
+        return run_image(image, **kwargs)
+
+    monkeypatch.setattr(workloads, "run_image", counting_run_image)
+    try:
+        workloads._compute_app_rows("PinLock", "mpu")
+    finally:
+        workloads.clear_caches()
+    assert sorted(simulated) == sorted({
+        *(("opec", backend) for backend in KNOWN_BACKENDS),
+        *((kind, "mpu") for kind in workloads._run_kinds("PinLock")),
+    })
+
+
 def test_compute_all_rows_sections_and_order():
     rows = workloads.compute_all_rows(jobs=1)
     assert set(rows) == {"table1", "figure9", "table2", "figure10",

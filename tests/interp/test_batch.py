@@ -2,9 +2,8 @@
 
 The batch contract: lanes are fully isolated (a batched lane's
 simulated outcome is bit-identical to a solo run of the same image),
-compiled block closures warm across lanes through the shared IR, one
-lane's terminal fault never disturbs the fleet, and ``REPRO_BATCH``
-validates loudly.
+compiled block closures warm across lanes through the shared IR, and
+one lane's terminal fault never disturbs the fleet.
 """
 
 import pytest
@@ -13,8 +12,8 @@ import repro.ir as ir
 from repro.hw import Machine, stm32f4_discovery
 from repro.hw.exceptions import HardFault
 from repro.image import build_vanilla_image
-from repro.interp import BatchRunner, Interpreter, batch_lanes
-from repro.interp.batch import DEFAULT_LANES, LaneFailure, _drop_tracebacks
+from repro.interp import BatchRunner, Interpreter
+from repro.interp.batch import LaneFailure, _drop_tracebacks
 from repro.interp.hooks import RuntimeHooks
 from repro.obs.metrics import MetricsRegistry
 from repro.ir import I32
@@ -53,34 +52,6 @@ class _ExplodingHooks(RuntimeHooks):
 
     def is_switch_point(self, interp, callee):
         raise RuntimeError("hook exploded")
-
-
-class TestReproBatch:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_lanes() == DEFAULT_LANES
-        assert batch_lanes(default=3) == 3
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        assert batch_lanes() == 5
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "many", "2.5"])
-    def test_invalid_raises(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        with pytest.raises(ValueError, match="REPRO_BATCH"):
-            batch_lanes()
-
-    @pytest.mark.parametrize("raw", ["many", "2.5"])
-    def test_non_integer_distinct_message(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        with pytest.raises(ValueError, match="not an integer"):
-            batch_lanes()
-
-    def test_non_positive_distinct_message(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        with pytest.raises(ValueError, match="not a positive"):
-            batch_lanes()
 
 
 class TestBatchIdentity:
@@ -145,6 +116,32 @@ class TestBatchIdentity:
 
 
 class TestFaultIsolation:
+    def test_each_lane_resumed_once_in_add_order(self, monkeypatch):
+        """``run`` is one pass over the lanes: one ``resume`` each, in
+        ``add`` order, and a lane that faults midway stops nothing
+        after it."""
+        resumed = []
+        resume = Interpreter.resume
+
+        def spy(interp):
+            resumed.append(interp)
+            return resume(interp)
+
+        monkeypatch.setattr(Interpreter, "resume", spy)
+        board = stm32f4_discovery()
+        good = build_vanilla_image(_loop_module(50), board)
+        bad = build_vanilla_image(_crash_module(), board)
+        runner = BatchRunner()
+        for name, image in (("good0", good), ("good1", good),
+                            ("doomed", bad), ("good2", good),
+                            ("good3", good)):
+            runner.add(image, name=name)
+        result = runner.run()
+        assert resumed == [lane.interpreter for lane in runner.lanes]
+        assert [lane.name for lane in result.failed] == ["doomed"]
+        assert [lane.halt_code for lane in result.lanes] == \
+            [sum(range(50))] * 2 + [None] + [sum(range(50))] * 2
+
     def test_one_lane_dies_rest_complete(self):
         board = stm32f4_discovery()
         good = build_vanilla_image(_loop_module(50), board)

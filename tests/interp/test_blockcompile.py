@@ -23,7 +23,7 @@ from repro.interp import (
     block_compile_enabled,
     compile_block,
 )
-from repro.interp import blockcompile
+from repro.interp import blockcompile, tracefuse
 from repro.interp.blockcompile import (
     CODE_MEMO_SIZE,
     _block_code,
@@ -272,7 +272,7 @@ class TestCodeMemo:
         """The second module compiles nothing, its fused hot loop
         included, yet each simulates exactly like single-step with its
         own values."""
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+        monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
         modules = [_constant_module(**values) for values in CONSTANTS]
         misses, outcomes = [], []
         for module in modules:
@@ -318,29 +318,22 @@ class TestCodeMemo:
             self, no_artifact_store):
         left = _global_loop_module("left", 5)
         right = _global_loop_module("right", 1000)
-        lanes = []
-        for module in (left, right):
+        halts = []
+        # Left, right, then left again: the second left run enters
+        # code the right run also executed, and must still see only
+        # its own module's registers and global.
+        for module in (left, right, left):
             board = stm32f4_discovery()
             image = build_vanilla_image(module, board)
             machine = Machine(board)
             image.initialize_memory(machine)
             interp = Interpreter(machine, image, block_compile=True)
-            interp.start()
-            lanes.append((interp, module.get_function("main")))
-        # Interleave the two runs block by block: every register a
-        # block writes must belong to its own function.
-        running = list(lanes)
-        while running:
-            for interp, main in list(running):
-                if not interp.advance():
-                    running.remove((interp, main))
-                    continue
-                own = {id(v) for blk in main.blocks
-                       for v in blk.instructions}
-                for frame in interp.frames:
-                    assert {id(v) for v in frame.regs} <= own
-        assert [interp.halt_code for interp, _ in lanes] == \
-            [5 + 190, 1000 + 190]
+            halts.append(interp.run())
+            own = {id(v) for blk in module.get_function("main").blocks
+                   for v in blk.instructions}
+            for frame in interp.frames:
+                assert {id(v) for v in frame.regs} <= own
+        assert halts == [5 + 190, 1000 + 190, 5 + 190]
         pairs = list(zip(left.get_function("main").blocks,
                          right.get_function("main").blocks))
         for a, b in pairs:

@@ -5,8 +5,7 @@ codes, same simulated cycles, same stats, same memory image, same
 fault messages whether a hot loop runs fused, per-block, or
 single-stepped — plus structural guarantees: traces are cached on the
 IR block (``None`` for rejected heads), dropped on pickle, and the
-``REPRO_TRACEFUSE`` / ``REPRO_TRACEFUSE_THRESHOLD`` knobs validate
-loudly.
+``REPRO_TRACEFUSE`` knob validates loudly.
 """
 
 import pickle
@@ -18,14 +17,13 @@ from repro.hw import Machine, stm32f4_discovery
 from repro.hw.exceptions import MachineError
 from repro.image import build_vanilla_image
 from repro.interp import (
-    DEFAULT_TRACE_THRESHOLD,
     TRACEFUSE_OFF_VALUES,
     TRACEFUSE_ON_VALUES,
     ExecutionLimitExceeded,
     Interpreter,
     compile_trace,
     trace_fuse_enabled,
-    trace_threshold,
+    tracefuse,
 )
 from repro.ir import I32, VOID
 
@@ -107,7 +105,7 @@ def _compare_modes(module, *, max_instructions=10_000_000, raise_irqs=()):
 @pytest.fixture
 def hot(monkeypatch):
     """Force a low hot threshold so short test loops actually fuse."""
-    monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+    monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
 
 
 class TestEnvKnob:
@@ -131,23 +129,19 @@ class TestEnvKnob:
             trace_fuse_enabled()
 
     def test_threshold_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACEFUSE_THRESHOLD", raising=False)
-        assert trace_threshold() == DEFAULT_TRACE_THRESHOLD
+        """The hot threshold is a module constant, 8, that each
+        interpreter reads when it is built."""
+        image = build_vanilla_image(_loop_module(5), stm32f4_discovery())
 
-    def test_threshold_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", " 3 ")
-        assert trace_threshold() == 3
+        def threshold():
+            machine = Machine(image.board)
+            image.initialize_memory(machine)
+            return Interpreter(machine, image, block_compile=True,
+                               trace_fuse=True)._fuse_threshold
 
-    def test_threshold_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "soon")
-        with pytest.raises(ValueError, match="not an integer"):
-            trace_threshold()
-
-    def test_threshold_out_of_range(self, monkeypatch):
-        # An integer, but not a usable one: distinct diagnostic.
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "0")
-        with pytest.raises(ValueError, match="not a positive"):
-            trace_threshold()
+        assert threshold() == tracefuse.TRACE_THRESHOLD == 8
+        monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 3)
+        assert threshold() == 3
 
     def test_interpreter_consults_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACEFUSE", "off")

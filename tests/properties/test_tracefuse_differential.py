@@ -19,7 +19,7 @@ from repro.hw import Machine, stm32f4_discovery
 from repro.hw.backend import KNOWN_BACKENDS
 from repro.hw.exceptions import MachineError
 from repro.image import build_vanilla_image
-from repro.interp import Interpreter
+from repro.interp import Interpreter, tracefuse
 from repro.ir import I8, I32, VOID
 
 WORD = 0xFFFFFFFF
@@ -43,7 +43,7 @@ MODES = (("fused", True, True), ("blocks", True, False),
 @pytest.fixture(autouse=True)
 def hot(monkeypatch):
     """Every random loop must cross the hot threshold quickly."""
-    monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+    monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
 
 
 @st.composite

@@ -746,8 +746,9 @@ def test_irq_inside_a_switched_iteration():
 
 @pytest.mark.parametrize("backend", KNOWN_BACKENDS)
 def test_batch_lane_equals_solo(backend):
-    """(f) Lanes interleave at block granularity; each lane's skips see
-    only its own machine, so every lane equals its solo run."""
+    """(f) Lanes share one image's compiled closures but each lane's
+    skips see only its own machine, so every lane equals its solo
+    run."""
     runner = BatchRunner(block_compile=True)
     for name, flavour in APP_BUILDS:
         runner.add(_image(name, flavour), name=f"{name}:{flavour}",
