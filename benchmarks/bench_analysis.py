@@ -20,10 +20,11 @@ Per application (paper profile — builds only, nothing is simulated):
 The ``harness`` section times full evaluation-row passes
 (``compute_all_rows``) under the quick profile against a fresh
 artifact cache: a cold serial pass (populating the store), a warm
-serial pass (everything rehydrated), and — when ``REPRO_JOBS`` > 1 —
-cold and warm passes through the process pool.  Each pass records its
-wall-clock and the store's hit/miss counters, so the snapshot proves
-both the warm speedup and that pool workers actually shared the store.
+serial pass (one row entry read per application), and — when
+``REPRO_JOBS`` > 1 — cold and warm passes through the process pool.
+Each pass records its wall-clock and the store's hit/miss counters, so
+the snapshot proves both the warm speedup and that pool workers
+actually shared the store.
 Skip it with ``--no-harness`` (the determinism checker does: the whole
 section is host wall-clock).
 

@@ -3,10 +3,11 @@
 Compile each firmware once and reuse the artifacts across every
 process: :mod:`repro.pipeline` and :mod:`repro.baselines` consult the
 store before building, the evaluation harness
-(:mod:`repro.eval.workloads`) additionally caches simulated runs and
-task traces, and ``REPRO_JOBS`` workers share the store through the
-filesystem.  See DESIGN.md, "Build caching" for the digest definition
-and the byte-identity contract.
+(:mod:`repro.eval.workloads`) additionally caches simulated runs, task
+traces and each application's finished evaluation rows, and
+``REPRO_JOBS`` workers share the store through the filesystem.  See
+DESIGN.md, "Build caching" for the digest definition and the
+byte-identity contract.
 """
 
 from .digest import (
@@ -15,6 +16,7 @@ from .digest import (
     clear_digest_memos,
     module_digest,
     pipeline_fingerprint,
+    rows_digest,
     run_digest,
     trace_digest,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "module_digest",
     "pipeline_fingerprint",
     "reset_store_state",
+    "rows_digest",
     "run_digest",
     "trace_digest",
 ]

@@ -159,6 +159,27 @@ def run_digest(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def rows_digest(
+    build_key: str,
+    app_name: str,
+    profile: str,
+    *,
+    max_instructions: int = 0,
+    backend: str = "mpu",
+) -> str:
+    """Content key for one application's finished §6 rows (its row
+    task in the evaluation harness), keyed off its OPEC build key.
+
+    Every other input of the rows — the vanilla and ACES builds, the
+    quick-profile task trace, the backend matrix's backends, the
+    stimuli — is a function of the app name and the source tree,
+    which the build key's pipeline fingerprint covers.
+    """
+    text = (f"rows\0{build_key}\0{app_name}\0{profile}\0"
+            f"{max_instructions}\0backend={backend}")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def closures_digest(module: Module) -> str:
     """Content key for a module's compiled-closure bundle.
 

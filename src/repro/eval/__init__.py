@@ -9,23 +9,17 @@ Run any generator directly::
     python -m repro.eval.figure11
     python -m repro.eval.table3
 
-or everything at once: ``python -m repro.eval.report_all``.
+or everything at once: ``python -m repro.eval.report_all``, or
+``python -m repro.eval.export [dir]`` to write every result file.
 Set ``REPRO_PROFILE=quick`` to downscale the workloads.
+
+The package does not import those entry-point modules (nor the
+cycle profiler) itself: ``python -m`` would otherwise find the module
+it is about to run already imported and run it a second time.  Import
+them by name (``from repro.eval import table1``).
 """
 
-from . import (
-    export,
-    figure9,
-    figure10,
-    figure11,
-    metrics,
-    profiler,
-    report,
-    table1,
-    table2,
-    table3,
-)
-from .profiler import CycleProfiler, Profile, profile_image
+from . import metrics, report
 from .tracing import TaskTrace, TaskTracer, trace_tasks
 from .workloads import (
     APP_NAMES,
@@ -37,9 +31,7 @@ from .workloads import (
 )
 
 __all__ = [
-    "export", "figure9", "figure10", "figure11", "metrics", "profiler",
-    "report", "table1", "table2", "table3",
-    "CycleProfiler", "Profile", "profile_image",
+    "metrics", "report",
     "TaskTrace", "TaskTracer", "trace_tasks",
     "APP_NAMES", "aces_artifacts", "build_app", "clear_caches",
     "opec_artifacts", "run_build",

@@ -28,10 +28,16 @@ and figure and writes:
 
 The table, figure and backend rows come from one
 :func:`repro.eval.workloads.compute_all_rows` call: one task per
-application simulates each run its rows and cells need that the
-artifact store lacks, and reads each stored run once.
-``REPRO_JOBS`` > 1 runs those tasks concurrently while the written
+application, which on a warm store reads that application's finished
+rows from one row entry and otherwise computes them, simulating each
+run its rows and cells need that the artifact store lacks.  So a warm
+export simulates only the PinLock flight-recorder run and the fleet
+step; the campaign's firmware reports come from the store too.
+``REPRO_JOBS`` > 1 runs the row tasks concurrently while the written
 files stay bit-identical to a serial export.
+
+The ``repro.eval`` package must not import this module: ``python -m``
+would then run it twice.
 """
 
 from __future__ import annotations

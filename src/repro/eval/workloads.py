@@ -16,12 +16,16 @@ builds and completed simulation results across processes.  Set
 
 :func:`map_apps` is the evaluation fan-out: one task per application,
 run serially in-process or — with ``REPRO_JOBS`` > 1 — in a process
-pool, results in the order of the applications.  A task simulates a
-run through :func:`run_build` when a row or cell first asks for it,
-on the same interpreter loop as every other run.  Both
+pool, results in the order of the applications.  Both
 :func:`compute_all_rows` (every table/figure row of §6 plus the
 backend matrix's cells) and :func:`repro.eval.backends.compute_matrix`
 go through it, so the rendered output is byte-identical either way.
+The row task of :func:`compute_all_rows` is content-addressed as a
+whole: a warm store serves each application's finished rows from one
+*row entry*.  Only on a miss does the task call :func:`run_build`,
+which loads a run from its run entry or simulates it, on the same
+interpreter loop as every other run, when a row or cell first asks
+for it.
 """
 
 from __future__ import annotations
@@ -201,18 +205,43 @@ def _run_kinds(name: str) -> tuple[str, ...]:
     return kinds
 
 
+def _rows_digest(app: Application, name: str, profile: str,
+                 backend: str) -> str:
+    """Content key for one application's row task: its OPEC build key
+    (pipeline fingerprint, module, board, specs) plus the inputs its
+    runs share."""
+    return cache.rows_digest(
+        cache.build_digest("opec", app.module, app.board, specs=app.specs),
+        name, profile, max_instructions=app.max_instructions,
+        backend=backend)
+
+
 def _compute_app_rows(name: str, backend: str) -> dict:
     """Every §6 row that concerns one application, under the ambient
     profile, plus its backend-matrix cells (``"backends"``).
     ``backend`` reaches the run-based rows (Figure 9, Table 2) as an
     explicit parameter; the remaining rows are static analyses with no
-    enforcement substrate.  Each run is simulated (or loaded from the
-    store) by :func:`run_build` when a cell or row first asks for it.
-    Row objects are plain dataclasses of primitives, so they cross a
+    enforcement substrate.
+
+    The finished rows are one *row entry* in the artifact store: a hit
+    returns it and builds, simulates and loads nothing else.  On a
+    miss each run is simulated (or loaded from its run entry) by
+    :func:`run_build` when a cell or row first asks for it, and the
+    entry is written only once every row exists, so every run the rows
+    came from has passed the application's ``verify_run``.  Row
+    objects are plain dataclasses of primitives, so they cross a
     process boundary."""
     from . import backends, figure9, figure10, figure11, table1, table2, table3
 
     profile = active_profile()
+    store = cache.active_store()
+    digest = ""
+    if store is not None:
+        digest = _rows_digest(build_app(name, profile), name, profile,
+                              backend)
+        cached = store.get(digest)
+        if cached is not None:
+            return cached
     # Cells first: the runs only they need leave before the rows load
     # theirs, so the task holds no more machines at once than its rows
     # alone would.
@@ -229,6 +258,8 @@ def _compute_app_rows(name: str, backend: str) -> dict:
         rows["table2"] = table2.compute_rows(name, backend=backend)
         rows["figure10"] = figure10.compute_app(name)
         rows["figure11"] = figure11.compute_app(name)
+    if store is not None:
+        store.put(digest, rows)
     return rows
 
 
@@ -285,13 +316,15 @@ def compute_all_rows(jobs: Optional[int] = None,
     ``Average`` rows, as :func:`repro.eval.backends.compute_matrix`
     returns them).
 
-    Each application is one :func:`map_apps` task that simulates each
-    run its rows and cells need when one first asks for it (unless the
-    store holds it), and drops the app's runs once its rows exist.
-    With ``jobs`` (default: ``REPRO_JOBS``) > 1 the tasks run in a
-    process pool; the per-app rows are merged in fixed ``APP_NAMES``
-    order, so the result — and everything rendered from it — is
-    identical to the serial path.
+    Each application is one :func:`map_apps` task.  On a warm store
+    the task reads its application's row entry and nothing else;
+    otherwise it simulates each run its rows and cells need when one
+    first asks for it (unless the store holds that run), drops the
+    app's runs once its rows exist, and stores the rows.  With
+    ``jobs`` (default: ``REPRO_JOBS``) > 1 the tasks run in a process
+    pool; the per-app rows are merged in fixed ``APP_NAMES`` order, so
+    the result — and everything rendered from it — is identical to the
+    serial path.
 
     The returned mapping carries three extra, non-table keys.
     ``"cache"``: aggregate artifact-cache hit/miss/bytes counters

@@ -125,7 +125,8 @@ class GlobalVariable(Value):
 
 
 def _pointer_field_offsets(type_: Type, base: int = 0) -> list[int]:
-    """Byte offsets of every pointer-typed slot within ``type_``."""
+    """Byte offsets of every pointer-typed slot within ``type_``, in
+    ascending element and field order."""
     from .types import ArrayType, StructType
 
     offsets: list[int] = []
@@ -135,8 +136,12 @@ def _pointer_field_offsets(type_: Type, base: int = 0) -> list[int]:
         for i, (_, ftype) in enumerate(type_.fields):
             offsets.extend(_pointer_field_offsets(ftype, base + type_.offset_of(i)))
     elif isinstance(type_, ArrayType):
-        for i in range(type_.count):
-            offsets.extend(_pointer_field_offsets(type_.element, base + i * type_.stride))
+        # One element's offsets, tiled: a byte buffer costs one call,
+        # not one per element.
+        element = _pointer_field_offsets(type_.element)
+        if element:
+            offsets = [base + i * type_.stride + offset
+                       for i in range(type_.count) for offset in element]
     return offsets
 
 

@@ -12,7 +12,10 @@ The phase methods below are the only switch implementation: the
 monitor's call and return paths and the §7 thread switch all run them.
 Every address a phase touches is policy- or layout-level data, fixed
 once the image is linked, so it is resolved once per operation into an
-:class:`_OperationMemo`.  Shadows and public originals all live in SRAM
+:class:`_OperationMemo`.  The memos and the address index behind
+pointer redirection belong to the image (:class:`_ImageSync`), so every
+monitor of one image — a campaign runs each OPEC image on many lanes —
+shares them.  Shadows and public originals all live in the board's SRAM
 (the memo refuses an image where one does not), so a copy slices the
 SRAM bytes directly.  Cycles are still charged per item — per check,
 per copy, per relocation slot, per pointer-field read and per rewrite —
@@ -22,21 +25,22 @@ flight recorder is attached.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
+from ..hw.board import Board
 from ..hw.exceptions import SecurityAbort
 from ..hw.machine import Machine
-from ..hw.memory import RamRegion
 from ..image.linker import OpecImage
 from ..interp.costs import SANITIZE_CHECK_COST, SYNC_WORD_COST
 from ..ir.values import GlobalVariable
 from ..partition.operations import Operation
 
 
-def _sram_offset(sram: RamRegion, address: int, gvar: GlobalVariable,
+def _sram_offset(board: Board, address: int, gvar: GlobalVariable,
                  what: str) -> int:
-    offset = address - sram.base
-    if not 0 <= offset <= sram.size - gvar.size:
+    offset = address - board.sram_base
+    if not 0 <= offset <= board.sram_size - gvar.size:
         raise ValueError(
             f"{what} of @{gvar.name} at 0x{address:08X}+{gvar.size} is "
             f"not inside SRAM")
@@ -49,9 +53,9 @@ class _OperationMemo:
 
     __slots__ = ("checks", "copies", "own", "reloc", "fields")
 
-    def __init__(self, image: OpecImage, operation: Operation,
-                 sram: RamRegion):
+    def __init__(self, image: OpecImage, operation: Operation):
         policy = image.policy
+        board = image.board
         # (shadow, size, lo, hi, variable name) per range-checked scalar.
         self.checks: list[tuple[int, int, int, int, str]] = []
         # (shadow, public, size, its check or None) per external, the
@@ -67,8 +71,8 @@ class _OperationMemo:
                 check = (shadow, gvar.size, lo, hi, gvar.name)
                 self.checks.append(check)
             self.copies.append(
-                (_sram_offset(sram, shadow, gvar, "shadow"),
-                 _sram_offset(sram, image.public_addresses[gvar], gvar,
+                (_sram_offset(board, shadow, gvar, "shadow"),
+                 _sram_offset(board, image.public_addresses[gvar], gvar,
                               "public original"),
                  gvar.size, check))
             self.own[gvar] = shadow
@@ -91,27 +95,49 @@ class _OperationMemo:
                                for offset in gvar.pointer_field_offsets)
 
 
+class _ImageSync:
+    """The image-level switch data every monitor of one image shares:
+    the address index over every shadow copy and public original, so
+    pointer fields can be retargeted across sections (§5.3), and each
+    operation's memo, built when a switch first needs it."""
+
+    __slots__ = ("intervals", "memos")
+
+    def __init__(self, image: OpecImage):
+        self.intervals: list[tuple[int, int, Optional[int],
+                                   GlobalVariable]] = []
+        for (op_index, gvar), addr in image.shadow_addresses.items():
+            self.intervals.append((addr, addr + gvar.size, op_index, gvar))
+        for gvar, addr in image.public_addresses.items():
+            self.intervals.append((addr, addr + gvar.size, None, gvar))
+        self.intervals.sort()
+        self.memos: dict[int, _OperationMemo] = {}
+
+
+# Per image; an entry holds no reference to its image, so it dies with
+# the image.
+_image_syncs: "weakref.WeakKeyDictionary[OpecImage, _ImageSync]" = \
+    weakref.WeakKeyDictionary()
+
+
 class DataSynchronizer:
-    """Performs the Figure-7 data movement for one image."""
+    """Performs the Figure-7 data movement for one image on one
+    machine."""
 
     def __init__(self, machine: Machine, image: OpecImage):
         self.machine = machine
         self.image = image
-        # Address index over every shadow copy and public original so
-        # pointer fields can be retargeted across sections (§5.3).
-        self._intervals: list[tuple[int, int, Optional[int], GlobalVariable]] = []
-        for (op_index, gvar), addr in image.shadow_addresses.items():
-            self._intervals.append((addr, addr + gvar.size, op_index, gvar))
-        for gvar, addr in image.public_addresses.items():
-            self._intervals.append((addr, addr + gvar.size, None, gvar))
-        self._intervals.sort()
+        shared = _image_syncs.get(image)
+        if shared is None:
+            shared = _image_syncs[image] = _ImageSync(image)
+        self._intervals = shared.intervals
+        self._memos = shared.memos
         self._bytes_copied = machine.metrics.counter("monitor.sync_bytes_copied")
-        self._memos: dict[int, _OperationMemo] = {}
 
     def _memo(self, operation: Operation) -> _OperationMemo:
         memo = self._memos.get(operation.index)
         if memo is None:
-            memo = _OperationMemo(self.image, operation, self.machine.sram)
+            memo = _OperationMemo(self.image, operation)
             self._memos[operation.index] = memo
         return memo
 

@@ -1,6 +1,13 @@
 """Tests for the results exporter."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.eval.export import export_all
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def test_export_writes_text_and_tsv(tmp_path):
@@ -21,3 +28,28 @@ def test_export_writes_text_and_tsv(tmp_path):
     campaign_txt = (tmp_path / "campaign_smoke.txt").read_text()
     assert "PASS (OPEC strictly more)" in campaign_txt
     assert "PASS (OPEC strictly lower)" in campaign_txt
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_package_import_leaves_entry_points_unimported():
+    """``python -m repro.eval.<module>`` runs the module once only
+    when importing the package has not already imported it."""
+    proc = _python("-c", "import sys, repro.eval\n"
+                         "print(' '.join(sys.modules))")
+    loaded = set(proc.stdout.split())
+    for module in ("export", "table1", "table2", "table3", "figure9",
+                   "figure10", "figure11", "profiler"):
+        assert f"repro.eval.{module}" not in loaded
+    assert "repro.eval.workloads" in loaded
+
+
+def test_entry_point_runs_without_runpy_warning():
+    proc = _python("-W", "error::RuntimeWarning", "-m", "repro.eval.table3")
+    assert proc.stdout.startswith("Table 3")
+    assert "RuntimeWarning" not in proc.stderr

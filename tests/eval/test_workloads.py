@@ -1,5 +1,6 @@
 """Tests for workload profiles and build/run caching."""
 
+import dataclasses
 import os
 
 import pytest
@@ -180,19 +181,33 @@ def test_compute_all_rows_aggregates_compile_metrics(monkeypatch):
         workloads.clear_caches()
 
 
-def test_compute_all_rows_parallel_merge_identical():
+def test_compute_all_rows_parallel_merge_identical(tmp_path, monkeypatch):
     """The REPRO_JOBS fan-out contract: a process-pool evaluation must
     merge into exactly the rows the serial path computes (row
-    dataclasses compare by value, floats included)."""
-    serial = workloads.compute_all_rows(jobs=1)
-    parallel = workloads.compute_all_rows(jobs=2)
+    dataclasses compare by value, floats included).  Each call gets
+    its own empty store, so the pool computes its rows instead of
+    reading the row entries the serial call wrote."""
+    def cold_rows(jobs, store):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / store))
+        workloads.clear_caches()
+        rows = workloads.compute_all_rows(jobs=jobs)
+        # Every app task missed its row entry and stored what it
+        # computed.
+        assert all(envelope.cache_counters["stores"] > 0
+                   for envelope in rows["telemetry"][1:])
+        return rows
+
+    serial = cold_rows(1, "serial")
+    parallel = cold_rows(2, "parallel")
     # Cache traffic, compile activity, and the telemetry envelopes
-    # legitimately differ between the two paths (the serial pass warms
-    # the in-process memos the parallel workers cannot see); every
-    # *table* must merge identically.
-    for diagnostic in ("cache", "compile", "telemetry"):
-        serial.pop(diagnostic)
-        parallel.pop(diagnostic)
+    # legitimately differ between the two paths (they count work per
+    # process), and so does Table 3's analysis wall-clock, a host
+    # measurement; every other *table* cell must merge identically.
+    for rows in (serial, parallel):
+        for diagnostic in ("cache", "compile", "telemetry"):
+            rows.pop(diagnostic)
+        rows["table3"] = [dataclasses.replace(row, solve_time_s=0.0)
+                          for row in rows["table3"]]
     assert serial == parallel
     # The row tasks' backend cells are the stand-alone matrix.
     matrix = backends.compute_matrix(jobs=1)

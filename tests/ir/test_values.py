@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir import (
+    ArrayType,
     Constant,
     ConstantNull,
     ConstantPointer,
@@ -11,10 +12,28 @@ from repro.ir import (
     I8,
     I16,
     I32,
+    PointerType,
     array,
     encode_initializer,
     ptr,
 )
+from repro.ir.values import _pointer_field_offsets
+
+
+def _offsets_by_element(type_, base=0):
+    """Reference: one recursion per array element."""
+    if isinstance(type_, PointerType):
+        return [base]
+    offsets = []
+    if isinstance(type_, StructType):
+        for i, (_, ftype) in enumerate(type_.fields):
+            offsets.extend(
+                _offsets_by_element(ftype, base + type_.offset_of(i)))
+    elif isinstance(type_, ArrayType):
+        for i in range(type_.count):
+            offsets.extend(
+                _offsets_by_element(type_.element, base + i * type_.stride))
+    return offsets
 
 
 class TestConstant:
@@ -56,6 +75,32 @@ class TestGlobalVariable:
         g = GlobalVariable("g", array(outer, 2))
         # outer: head at 0, pair.link at 8; stride 12
         assert g.pointer_field_offsets == [0, 8, 12, 20]
+
+    def test_pointer_field_offsets_tile_array_elements(self):
+        node = StructType("node", [("tag", I8), ("next", ptr(I8)),
+                                   ("data", array(I16, 3)),
+                                   ("slots", array(ptr(I32), 2))])
+        holder = StructType("holder", [("count", I32),
+                                       ("nodes", array(node, 3)),
+                                       ("head", ptr(node))])
+        types = [
+            array(I8, 4096),
+            array(array(I32, 4), 8),
+            array(ptr(I8), 5),
+            array(node, 4),
+            array(array(node, 2), 3),
+            holder,
+            array(holder, 2),
+            StructType("flat", [("a", I8), ("b", I32)]),
+        ]
+        for type_ in types:
+            for base in (0, 12):
+                assert _pointer_field_offsets(type_, base) == \
+                    _offsets_by_element(type_, base), type_
+        assert _pointer_field_offsets(array(I8, 4096)) == []
+        # Element by element, field order within each element.
+        assert _pointer_field_offsets(array(node, 2)) == \
+            [4, 16, 20, 28, 40, 44]
 
     def test_sanitize_range_attribute(self):
         g = GlobalVariable("g", I32, 0, sanitize_range=(0, 1))

@@ -8,6 +8,7 @@ from repro.hw import Machine, SecurityAbort, stm32f4_discovery
 from repro.interp.costs import SANITIZE_CHECK_COST, SYNC_WORD_COST
 from repro.ir import I32, VOID, ptr
 from repro.partition import OperationSpec
+from repro.runtime.monitor import OpecMonitor
 from repro.runtime.stack import StackProtector
 from repro.runtime.sync import DataSynchronizer
 
@@ -308,6 +309,37 @@ class TestPerItemCharging:
         charges.clear()
         sync.update_relocation_table(op1)
         assert charges == [1] * len(artifacts.image.reloc_slots)
+
+
+class TestImageLevelMemos:
+    """The interval index and the operation memos are image-level
+    data: every monitor of one image (one per lane) shares them, while
+    each machine keeps its own copy counter."""
+
+    def test_monitors_of_one_image_share_the_memos(self):
+        artifacts, first = _world(_shared_module, SPECS)
+        image = artifacts.image
+        second = Machine(image.board)
+        image.initialize_memory(second)
+        one = OpecMonitor(first, image).sync
+        two = OpecMonitor(second, image).sync
+        op1 = artifacts.policy.operation_by_entry("t1")
+        assert two._intervals is one._intervals
+        assert two._memo(op1) is one._memo(op1)
+        one.refresh(op1)
+        copied = first.metrics.counter("monitor.sync_bytes_copied")
+        assert copied.value == 4
+        assert second.metrics.counter(
+            "monitor.sync_bytes_copied").value == 0
+
+    def test_other_image_gets_its_own_memos(self):
+        artifacts, machine = _world(_shared_module, SPECS)
+        other, other_machine = _world(_shared_module, SPECS)
+        assert other.image is not artifacts.image
+        sync = DataSynchronizer(machine, artifacts.image)
+        other_sync = DataSynchronizer(other_machine, other.image)
+        assert other_sync._intervals is not sync._intervals
+        assert other_sync._memos is not sync._memos
 
 
 class TestStackProtectorUnit:

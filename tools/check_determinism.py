@@ -5,17 +5,25 @@ Re-runs the full evaluation export (``repro.eval.export``) under the
 same profile the committed ``results/`` were produced with
 (``REPRO_PROFILE=quick``) **five times** — once against an empty
 artifact cache (cold, populating it), once against the now-populated
-cache with two workers (``REPRO_JOBS=2``: every build/run rehydrated
-from disk, as in the end-to-end benchmark's warm export), once with
-``REPRO_CACHE=off``, once with ``REPRO_BLOCKCOMPILE=off`` (the
-single-step reference interpreter), and once with
+cache with two workers (``REPRO_JOBS=2``, as in the end-to-end
+benchmark's warm export: each application's rows come from its row
+entry and each campaign firmware's report from its report entry, so
+only the PinLock flight-recorder trace and the fleet step simulate),
+once with ``REPRO_CACHE=off``, once with ``REPRO_BLOCKCOMPILE=off``
+(the single-step reference interpreter), and once with
 ``REPRO_TRACEFUSE=off`` (per-block execution without loop fusion) —
 and compares every file of every pass byte-for-byte against the
 committed tree.  Every pass but the warm one runs serially.  That is
 the whole contract of the fast paths: a cache hit may only ever change
 *when* you get the bytes, and block compilation / trace fusion only
 *how fast* the simulated machine is stepped — never *which* bytes you
-get.
+get.  The store's run entries, which a warm export no longer reads,
+are held to the same rows by ``tests/cache/test_row_entries.py``.
+
+Each export runs as ``python -W error::RuntimeWarning -m
+repro.eval.export``, so an export module that the ``repro.eval``
+package imports eagerly (which makes ``-m`` run it twice, with a
+runpy warning) fails the check.
 
 The single tolerated exception is the analysis wall-clock column of
 Table 3 (``time_s`` / ``Time(s)``): it measures the host machine, not
@@ -122,7 +130,8 @@ def check_export(committed: Path, env: dict, label: str,
     names = sorted(p.name for p in committed.iterdir())
     with tempfile.TemporaryDirectory(prefix="repro-determinism-") as tmp:
         subprocess.run(
-            [sys.executable, "-m", "repro.eval.export", tmp],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.eval.export", tmp],
             cwd=REPO, env=env, check=True,
         )
         fresh_dir = Path(tmp)
@@ -200,8 +209,8 @@ def main() -> int:
         if entries == 0:
             failures.append(
                 "[cache-cold] export populated no cache entries")
-        # Pass 2: same store, now warm — every artifact rehydrated,
-        # by two workers.
+        # Pass 2: same store, now warm — each app's rows read from its
+        # row entry, by two workers.
         env["REPRO_JOBS"] = "2"
         check_export(committed, env, "cache-warm", failures)
         del env["REPRO_JOBS"]
