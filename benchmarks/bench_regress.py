@@ -22,7 +22,8 @@ changes have a perf trajectory to compare against:
   SVC boundaries, and MemManage retries;
 * ``batch_throughput`` — N lanes of the throughput firmware run
   through one process by the batch runner, sharing one image and one
-  set of compiled block closures;
+  set of compiled block closures (the timed run includes each lane's
+  machine set-up);
 * ``tracefuse_throughput`` / ``tracefuse_throughput_blocks`` — an
   ALU-heavy hot loop (the shape where fusing whole iterations under
   one batched cycle charge pays most) with loop-trace fusion on vs
@@ -32,8 +33,12 @@ changes have a perf trajectory to compare against:
   and persisting it) then warm (every closure rehydrated from the
   artifact store): the warm pass must recompile **nothing**.
 
-For each workload the report records host wall-clock seconds *and* the
-simulated quantities (``cycles``, instructions, ``MachineStats``).
+Each workload runs ``REPEATS`` times in this one process: the report
+records the median host wall-clock with its min and max (the first
+repetition also pays the process's first compile of each generated
+source) *and* the simulated quantities (``cycles``, instructions,
+``MachineStats``), which every repetition must charge identically;
+compile counters are the first repetition's.
 Wall-clock is the number optimisations may move; the simulated numbers
 are the determinism contract — they must never change, and must not
 depend on block compilation or batching (see DESIGN.md, "Performance &
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -63,6 +69,7 @@ from repro.interp import BatchRunner, Interpreter  # noqa: E402
 from repro.ir import I32  # noqa: E402
 
 BATCH_LANES = 8
+REPEATS = 5
 
 
 def _throughput_module(iterations: int = 100_000):
@@ -98,15 +105,39 @@ def _alu_module(iterations: int = 300_000):
     return module
 
 
-def _check_identical(name: str, compiled: dict, reference: dict) -> None:
-    """Fail loudly if a compiled run's simulated numbers drift."""
+def _check_identical(name: str, run: dict, reference: dict) -> None:
+    """Fail loudly if a run's simulated numbers drift from a reference
+    run's (single-step, solo, or the first repetition)."""
     keys = ("instructions", "cycles", "stats", "halt_code", "switches")
     for key in keys:
-        if key in compiled and key in reference \
-                and compiled[key] != reference[key]:
+        if key in run and key in reference and run[key] != reference[key]:
             raise SystemExit(
-                f"{name}: {key} diverged between block-compiled and "
-                f"single-step runs: {compiled[key]!r} != {reference[key]!r}")
+                f"{name}: {key} diverged from the reference run: "
+                f"{run[key]!r} != {reference[key]!r}")
+
+
+def _spread(walls: list, key: str = "wall_clock") -> dict:
+    """Median, min and max of ``walls`` under ``<key>_s``,
+    ``<key>_min_s`` and ``<key>_max_s``."""
+    walls = sorted(walls)
+    return {f"{key}_s": round(statistics.median(walls), 4),
+            f"{key}_min_s": walls[0], f"{key}_max_s": walls[-1]}
+
+
+def _repeat(name: str, measure) -> dict:
+    """Run ``measure`` ``REPEATS`` times: the first run's report with
+    the median, min and max wall-clock of all of them.  Every
+    repetition must charge the same simulated numbers."""
+    runs = [measure() for _ in range(REPEATS)]
+    report = dict(runs[0])
+    for run in runs[1:]:
+        _check_identical(f"{name} (repetition)", run, report)
+    report.update(_spread([run["wall_clock_s"] for run in runs]))
+    if "insts_per_s" in report:
+        report["insts_per_s"] = round(report["instructions"]
+                                      / report["wall_clock_s"])
+    report["repeats"] = REPEATS
+    return report
 
 
 def _run_module(module, *, block_compile: bool,
@@ -136,14 +167,21 @@ def _run_throughput(block_compile: bool) -> dict:
 
 
 def bench_vanilla_throughput() -> tuple[dict, dict]:
-    compiled = _run_throughput(block_compile=True)
-    singlestep = _run_throughput(block_compile=False)
+    compiled = _repeat("vanilla_throughput",
+                       lambda: _run_throughput(block_compile=True))
+    singlestep = _repeat("vanilla_throughput_singlestep",
+                         lambda: _run_throughput(block_compile=False))
     _check_identical("vanilla_throughput", compiled, singlestep)
     return compiled, singlestep
 
 
 def bench_pinlock_opec(backend: str = "mpu",
                        block_compile: bool = False) -> dict:
+    return _repeat(f"pinlock_opec[{backend}]",
+                   lambda: _pinlock_once(backend, block_compile))
+
+
+def _pinlock_once(backend: str, block_compile: bool) -> dict:
     from repro.apps import pinlock
 
     app = pinlock.build(rounds=2)
@@ -164,18 +202,22 @@ def bench_pinlock_opec(backend: str = "mpu",
 
 
 def bench_batch_throughput(lanes: int = BATCH_LANES) -> dict:
-    """N throughput lanes through one process, sharing image + blocks."""
-    board = stm32f4_discovery()
-    image = build_vanilla_image(_throughput_module(), board)
+    """N throughput lanes through one process, sharing image + blocks.
+    The timed run includes each lane's machine set-up: the runner
+    builds a lane's machine when it reaches the lane."""
     solo = _run_throughput(block_compile=True)
+    return _repeat("batch_throughput", lambda: _batch_once(lanes, solo))
+
+
+def _batch_once(lanes: int, solo: dict) -> dict:
+    image = build_vanilla_image(_throughput_module(), stm32f4_discovery())
     runner = BatchRunner(block_compile=True)
     for _ in range(lanes):
         runner.add(image, max_instructions=10_000_000)
-    start = time.perf_counter()
-    result = runner.run()
-    wall = time.perf_counter() - start
     total_insts = 0
-    for lane in result.lanes:
+
+    def check(lane) -> None:
+        nonlocal total_insts
         if lane.error is not None:
             raise SystemExit(f"batch_throughput: {lane.name} died: "
                              f"{lane.error}")
@@ -186,11 +228,15 @@ def bench_batch_throughput(lanes: int = BATCH_LANES) -> dict:
         }
         _check_identical(f"batch_throughput/{lane.name}", lane_report, solo)
         total_insts += lane.interpreter.instructions_executed
+
+    start = time.perf_counter()
+    result = runner.run(check)
+    wall = time.perf_counter() - start
     return {
         "wall_clock_s": round(wall, 4),
         "lanes": lanes,
         "instructions": total_insts,
-        "cycles_per_lane": result.lanes[0].machine.cycles,
+        "cycles_per_lane": solo["cycles"],
         "insts_per_s": round(total_insts / wall),
         "compile_metrics":
             result.compile_metrics.snapshot()["counters"],
@@ -200,16 +246,16 @@ def bench_batch_throughput(lanes: int = BATCH_LANES) -> dict:
 def bench_tracefuse_throughput() -> tuple[dict, dict]:
     """The fused tier's headline: an ALU-heavy loop, fused vs
     per-block, bit-identical by construction."""
-    fused = _run_module(_alu_module(), block_compile=True,
-                        trace_fuse=True)
+    fused = _repeat("tracefuse_throughput", lambda: _run_module(
+        _alu_module(), block_compile=True, trace_fuse=True))
     # On a warm store the trace is loaded from the closure cache
     # instead of compiled; either way the hot loop ran fused.
     counters = fused["compile_metrics"]
     if (counters["tracefuse.traces_compiled"]
             + counters["closurecache.traces_loaded"]) == 0:
         raise SystemExit("tracefuse_throughput: hot loop never fused")
-    blocks = _run_module(_alu_module(), block_compile=True,
-                         trace_fuse=False)
+    blocks = _repeat("tracefuse_throughput_blocks", lambda: _run_module(
+        _alu_module(), block_compile=True, trace_fuse=False))
     _check_identical("tracefuse_throughput", fused, blocks)
     fused["speedup_vs_blocks"] = round(
         blocks["wall_clock_s"] / fused["wall_clock_s"], 3)
@@ -219,10 +265,26 @@ def bench_tracefuse_throughput() -> tuple[dict, dict]:
 def bench_warm_compile() -> dict:
     """Cold vs warm codegen through the persistent closure cache.
 
-    Runs the same firmware twice against a private artifact store —
-    fresh module instances, so the warm pass models a fresh process —
-    and fails the harness if the warm pass compiled anything at all.
+    Each repetition runs the same firmware twice against a fresh
+    private artifact store — fresh module instances, so the warm pass
+    models a fresh process — and fails the harness if the warm pass
+    compiled anything at all.
     """
+    pairs = [_warm_compile_once() for _ in range(REPEATS)]
+    cold, warm = pairs[0]
+    for other_cold, other_warm in pairs[1:]:
+        _check_identical("warm_compile (repetition)", other_cold, cold)
+        _check_identical("warm_compile (repetition)", other_warm, warm)
+    return {
+        **_spread([pair[0]["wall_clock_s"] for pair in pairs], "cold_wall"),
+        **_spread([pair[1]["wall_clock_s"] for pair in pairs], "warm_wall"),
+        "repeats": REPEATS,
+        "cold_compile_metrics": cold["compile_metrics"],
+        "warm_compile_metrics": warm["compile_metrics"],
+    }
+
+
+def _warm_compile_once() -> tuple[dict, dict]:
     import os
     import tempfile
 
@@ -254,12 +316,7 @@ def bench_warm_compile() -> dict:
                 f"({counter}={warm_counters[counter]})")
     if warm_counters["closurecache.blocks_loaded"] == 0:
         raise SystemExit("warm_compile: warm run loaded no closures")
-    return {
-        "cold_wall_s": cold["wall_clock_s"],
-        "warm_wall_s": warm["wall_clock_s"],
-        "cold_compile_metrics": cold["compile_metrics"],
-        "warm_compile_metrics": warm_counters,
-    }
+    return cold, warm
 
 
 def main() -> int:

@@ -248,6 +248,10 @@ def evaluate_firmware(config: CampaignConfig, index: int) -> FirmwareReport:
             for kind in config.attacks
         }
 
+        report = FirmwareReport(
+            name=firmware.name, index=index, tasks=len(firmware.tasks),
+            victim=firmware.victim, pt=_pt_values(config, firmware, images),
+        )
         runner = BatchRunner()
         lane_plans = []
         for flavour in config.flavours:
@@ -271,23 +275,23 @@ def evaluate_firmware(config: CampaignConfig, index: int) -> FirmwareReport:
                         backend=backend,
                     )
                     lane_plans.append((kind, flavour, backend, plan))
-        result = runner.run()
+        # The runner hands lanes over in ``add`` order.
+        pending = iter(lane_plans)
+
+        def classify(lane) -> None:
+            kind, flavour, backend, plan = next(pending)
+            fleet.record_simulation(lane.machine.metrics)
+            outcome = _classify(lane, plan)
+            if kind is None:
+                report.baseline[(flavour, backend)] = outcome
+            else:
+                report.cells[(kind, flavour, backend)] = outcome
+            # Classified: the lane's machine is garbage from here on.
+            lane.machine.release_devices()
+
+        result = runner.run(classify)
 
     fleet.record_simulation(compile_metrics=result.compile_metrics)
-    report = FirmwareReport(
-        name=firmware.name, index=index, tasks=len(firmware.tasks),
-        victim=firmware.victim, pt=_pt_values(config, firmware, images),
-    )
-    for lane, (kind, flavour, backend, plan) in zip(result.lanes,
-                                                    lane_plans):
-        fleet.record_simulation(lane.machine.metrics)
-        outcome = _classify(lane, plan)
-        if kind is None:
-            report.baseline[(flavour, backend)] = outcome
-        else:
-            report.cells[(kind, flavour, backend)] = outcome
-        # Classified: the lane's machine is garbage from here on.
-        lane.machine.release_devices()
     if store is not None:
         store.put(digest, report)
     return report

@@ -264,23 +264,28 @@ def _cmd_bench(args) -> int:
         runner.add(image, setup=app.setup,
                    max_instructions=app.max_instructions,
                    backend=args.backend)
-    start = time.perf_counter()
-    result = runner.run()
-    wall = time.perf_counter() - start
     insts = 0
-    for lane in result.lanes:
+    failed = 0
+
+    def report(lane) -> None:
+        nonlocal insts, failed
         if lane.error is not None:
+            failed += 1
             print(f"{lane.name}: ERROR {lane.error}")
-            continue
+            return
         executed = lane.interpreter.instructions_executed
         insts += executed
         print(f"{lane.name}: halt={lane.halt_code} "
               f"cycles={lane.cycles} insts={executed}")
+
+    start = time.perf_counter()
+    result = runner.run(report)
+    wall = time.perf_counter() - start
     rate = insts / wall if wall else 0.0
     print(f"{args.lanes} lanes [{args.build}] of {args.app}: "
           f"{insts} instructions in {wall:.3f}s ({rate:,.0f} insts/s)")
     print(result.compile_metrics.render("aggregate compile metrics"))
-    return 1 if result.failed else 0
+    return 1 if failed else 0
 
 
 def _cmd_campaign(args) -> int:

@@ -22,8 +22,9 @@ def pack_pages(data: bytearray) -> tuple[int, dict[int, bytes]]:
     """``data`` as its length plus its non-zero ``PAGE_SIZE`` pages,
     keyed by page index (the last page may be short).
 
-    Flash, SRAM and SD-card images are mostly zero, so this is the
-    form a stored :class:`~repro.pipeline.RunResult` keeps them in;
+    SRAM is mostly zero, so this is the form a stored
+    :class:`~repro.pipeline.RunResult` keeps it in (flash and SD-card
+    images, already compact, pass through the same helpers);
     :func:`unpack_pages` restores an identical ``bytearray``.
     """
     pages = {}
@@ -139,15 +140,45 @@ class RamRegion(Region):
 
 
 class FlashRegion(RamRegion):
-    """Flash: writable only through the programmer (image load)."""
+    """Flash: writable only through the programmer (image load).
+
+    ``data`` holds only the programmed extent: the bytes from the base
+    up to the end of the highest blob :meth:`program` burned.  Every
+    other address in the region reads as erased zero.  An image burns
+    only its read-only globals (code is never stored as bytes), so this
+    is a few KiB where the whole region would be a megabyte.  A read
+    needs no check for it: a slice past the extent comes back short,
+    and ``int.from_bytes(..., "little")`` reads the missing high bytes
+    as zero.
+    """
+
+    def __init__(self, name: str, base: int, size: int):
+        Region.__init__(self, name, base, size)
+        self.data = bytearray()
 
     def write(self, address: int, size: int, value: int) -> None:
         raise HardFault(f"write to flash at 0x{address:08X}")
 
+    def read_bytes(self, address: int, length: int) -> bytes:
+        blob = super().read_bytes(address, length)
+        return blob + bytes(length - len(blob))
+
+    def write_bytes(self, address: int, blob: bytes) -> None:
+        raise HardFault(f"bulk write to flash at 0x{address:08X}")
+
     def program(self, address: int, blob: bytes) -> None:
         """Burn bytes into flash (used by the image loader only)."""
+        if address < self.base or address + len(blob) > self.end:
+            # Slice assignment would grow the array past the region, or
+            # (below the base) write through negative indexes.
+            raise HardFault(
+                f"programming 0x{len(blob):X} bytes at 0x{address:08X} "
+                f"leaves region {self.name}")
         off = address - self.base
-        self.data[off : off + len(blob)] = blob
+        data = self.data
+        if off > len(data):
+            data.extend(bytes(off - len(data)))
+        data[off : off + len(blob)] = blob
 
 
 class MMIORegion(Region):

@@ -20,10 +20,15 @@ WORDS_PER_BLOCK = BLOCK_SIZE // 4
 class SDCard:
     """SDIO controller + card with a byte-addressable block image.
 
-    The card never changes size: an image larger than the capacity is
-    refused, and a write to a block at or past the capacity is dropped
-    (a read there returns zero words).  It pickles its image
-    page-sparse, like :class:`~repro.hw.memory.RamRegion`.
+    ``image`` holds only the disk image it was given plus the blocks
+    CMD24 wrote: every byte past its end reads as zero, and a write
+    past the end grows it to reach the block.  The card's capacity
+    never changes: an image larger than the capacity is refused, and a
+    write to a block at or past the capacity is dropped (a read there
+    returns zero words), so ``image`` never exceeds
+    ``capacity_blocks * BLOCK_SIZE`` bytes.  It pickles its image
+    through :func:`~repro.hw.memory.pack_pages`, like
+    :class:`~repro.hw.memory.RamRegion`.
     """
 
     POWER = 0x00
@@ -52,8 +57,7 @@ class SDCard:
             raise ValueError(
                 f"SD image of {len(image)} bytes exceeds the card's "
                 f"{capacity_blocks} blocks")
-        self.image = bytearray(capacity_blocks * BLOCK_SIZE)
-        self.image[: len(image)] = image
+        self.image = bytearray(image)
         self.arg = 0
         self.power = 0
         self._fifo: deque[int] = deque()
@@ -65,14 +69,15 @@ class SDCard:
     # -- host side ---------------------------------------------------
 
     def read_block_host(self, block: int) -> bytes:
+        """Block ``block``'s bytes, zero past the end of the image."""
         start = block * BLOCK_SIZE
-        return bytes(self.image[start : start + BLOCK_SIZE])
+        blob = bytes(self.image[start : start + BLOCK_SIZE])
+        return blob + bytes(BLOCK_SIZE - len(blob))
 
     # -- device side ---------------------------------------------------
 
     def _start_read(self, block: int) -> None:
-        start = block * BLOCK_SIZE
-        blob = self.image[start : start + BLOCK_SIZE]
+        blob = self.read_block_host(block)
         self._fifo = deque(
             int.from_bytes(blob[i : i + 4], "little")
             for i in range(0, BLOCK_SIZE, 4)
@@ -87,7 +92,10 @@ class SDCard:
         if block >= self.capacity_blocks:
             return
         start = block * BLOCK_SIZE
-        self.image[start : start + BLOCK_SIZE] = b"".join(
+        image = self.image
+        if start > len(image):
+            image.extend(bytes(start - len(image)))
+        image[start : start + BLOCK_SIZE] = b"".join(
             w.to_bytes(4, "little") for w in words)
         self.writes += 1
 

@@ -9,6 +9,7 @@ monitor, no MPU, everything privileged.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -137,13 +138,28 @@ class Image:
                    and s.end <= self.board.sram_base + self.board.sram_size)
 
     def initialize_memory(self, machine) -> None:
-        """Program flash and set globals' initial SRAM contents."""
-        for gvar, address in self._global_addresses.items():
-            blob = gvar.encode_initializer()
-            if gvar.is_const:
+        """Program flash and set globals' initial SRAM contents.
+
+        Images are read-only after linking, so the initial bytes are
+        encoded once per image; every machine gets the same blobs in
+        the same order."""
+        blobs = _initial_memory.get(self)
+        if blobs is None:
+            blobs = _initial_memory[self] = [
+                (address, gvar.encode_initializer(), gvar.is_const)
+                for gvar, address in self._global_addresses.items()]
+        for address, blob, is_const in blobs:
+            if is_const:
                 machine.program_flash(address, blob)
             else:
                 machine.write_bytes(address, blob)
+
+
+# Per image: the ``(address, blob, is_const)`` of every global, in the
+# order ``initialize_memory`` writes them.  Weakly keyed, so the list
+# never rides into a pickled image and dies with its image.
+_initial_memory: "weakref.WeakKeyDictionary[Image, list]" = \
+    weakref.WeakKeyDictionary()
 
 
 class VanillaImage(Image):

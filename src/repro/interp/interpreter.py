@@ -227,8 +227,8 @@ class Interpreter:
 
     def start(self, entry: str = "main", args: tuple[int, ...] = ()) -> None:
         """Reset and stage ``entry`` without executing anything; a later
-        :meth:`resume` runs it.  The batch runner stages every lane's
-        machine this way before it runs any of them."""
+        :meth:`resume` runs it.  The batch runner builds and stages
+        each lane this way when it reaches the lane, then resumes it."""
         self.hooks.on_reset(self)
         self.call_function(self.image.module.get_function(entry), list(args))
 

@@ -42,6 +42,7 @@ The ``repro fleet`` CLI verb drives :func:`run_fleet`; the committed
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -307,9 +308,11 @@ def _fleet_eval_worker(
     """Pool entry point: simulate one worker's slice of the lane grid.
 
     Every lane simulates *fresh* under a dedicated recorder (a cached
-    RunResult carries no event stream), staged as batch-runner lanes so
+    RunResult carries no event stream), as a batch-runner lane so
     flavours of the same module share compiled closures; builds are
-    served by the artifact store as usual.  The sim-domain outcome of a
+    served by the artifact store as usual.  Each lane becomes its
+    :class:`LaneTelemetry` as it finishes and its machine is released
+    before the next lane's is built.  The sim-domain outcome of a
     lane is therefore cache-temperature- and worker-count-independent.
     The profile travels in ``job`` and reaches every build explicitly;
     with one worker this runs in the caller's process, so it must not
@@ -327,23 +330,22 @@ def _fleet_eval_worker(
         with wall_span(host, FLEET_CHUNK, f"worker{worker}",
                        lanes=len(specs)):
             runner = BatchRunner()
-            staged = []
+            # Per lane, in ``add`` order (the order lanes are handed
+            # over); popped as each lane finishes, so its recorder goes
+            # with its machine.
+            pending = deque()
             for app_name, kind, backend in specs:
                 lane_name = f"{app_name}:{kind}:{backend}"
                 with wall_span(host, FLEET_BUILD, lane_name):
                     app, image = _lane_image(app_name, kind, profile)
                 recorder = FlightRecorder(capacity)
-                lane = runner.add(
-                    image, name=lane_name, setup=app.setup,
-                    max_instructions=app.max_instructions,
-                    backend=backend, recorder=recorder)
-                staged.append((app, lane, recorder, backend))
-            with wall_span(host, FLEET_RUN, f"worker{worker}",
-                           lanes=len(staged)):
-                result = runner.run()
-            collector().record_simulation(
-                compile_metrics=result.compile_metrics)
-            for app, lane, recorder, backend in staged:
+                runner.add(image, name=lane_name, setup=app.setup,
+                           max_instructions=app.max_instructions,
+                           backend=backend, recorder=recorder)
+                pending.append((app, recorder, backend))
+
+            def collect(lane) -> None:
+                app, recorder, backend = pending.popleft()
                 telemetry = LaneTelemetry(
                     name=lane.name, backend=backend,
                     cycles=lane.machine.cycles,
@@ -366,6 +368,13 @@ def _fleet_eval_worker(
                     app.verify_run(lane.machine, lane.halt_code)
                 collector().record_simulation(lane.machine.metrics)
                 lanes.append(telemetry)
+                lane.machine.release_devices()
+
+            with wall_span(host, FLEET_RUN, f"worker{worker}",
+                           lanes=len(specs)):
+                result = runner.run(collect)
+            collector().record_simulation(
+                compile_metrics=result.compile_metrics)
     finally:
         install(previous)
         envelope = end_capture(token, worker=worker,
@@ -636,10 +645,10 @@ def telemetry_summary(envelopes: Sequence[WorkerTelemetry]) -> str:
 
 def render_dashboard(result: FleetResult) -> str:
     """The fleet text dashboard: deterministic sim-domain roll-up first
-    (lane table, merged metrics, per-backend switch-cost histograms),
-    then the :data:`HOST_SECTION_MARKER` line, then the host-domain
-    diagnostics (per-worker utilisation, cache traffic, compile
-    activity)."""
+    (a warning line when any lane's ring overflowed, lane table, merged
+    metrics, per-backend switch-cost histograms), then the
+    :data:`HOST_SECTION_MARKER` line, then the host-domain diagnostics
+    (per-worker utilisation, cache traffic, compile activity)."""
     from .metrics import _aligned
 
     lanes = result.lanes
@@ -647,6 +656,12 @@ def render_dashboard(result: FleetResult) -> str:
     lines = [f"== fleet dashboard: {result.target} [{result.profile}] ==",
              f"backends: {','.join(result.backends)}",
              f"lanes: {len(lanes)}  faults: {len(faulted)}/{len(lanes)}"]
+    truncated = [lane for lane in lanes if lane.dropped]
+    if truncated:
+        lines.append(
+            f"warning: {sum(lane.dropped for lane in truncated)} sim "
+            f"events dropped in {len(truncated)} lanes (ring overflow); "
+            f"those lanes' traces start mid-run")
     if lanes:
         lines.append("")
         lines.extend(_aligned(

@@ -1,13 +1,15 @@
 """Stored runs and module digests.
 
-A stored :class:`~repro.pipeline.RunResult` keeps flash, SRAM and the
-SD-card image page-sparse, and must rehydrate a machine identical to
-the fresh run's.  A module is digested once per module object, which
-holds only because building and running leave its printed form alone.
+A stored :class:`~repro.pipeline.RunResult` keeps SRAM page-sparse
+and flash and the SD-card image as compact as the machine holds them,
+and must rehydrate a machine identical to the fresh run's.  A module
+is digested once per module object, which holds only because building
+and running leave its printed form alone.
 """
 
 import hashlib
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -59,6 +61,28 @@ def test_stored_run_equals_fresh_run(name, kind, tmp_path):
     assert stored is not fresh
     assert _state(stored) == _state(fresh)
     app.verify_run(stored.machine, stored.halt_code)
+
+
+def test_rehydrated_sd_card_entry_holds_only_written_bytes():
+    """Flash keeps its programmed extent and the card its disk image
+    plus the blocks the firmware wrote, so a rehydrated Animation run
+    costs its SRAM and its IR, not a megabyte of flash zeros and two
+    of card zeros."""
+    app = workloads.build_app("Animation", profile="quick")
+    image = build_vanilla(app.module, app.board)
+    blob = pickle.dumps(
+        run_image(image, setup=app.setup,
+                  max_instructions=app.max_instructions, backend="mpu"),
+        protocol=pickle.HIGHEST_PROTOCOL)
+    pickle.loads(blob)
+    tracemalloc.start()
+    try:
+        stored = pickle.loads(blob)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    app.verify_run(stored.machine, stored.halt_code)
+    assert allocated < 2 * 1024 * 1024
 
 
 def test_generated_firmware_keeps_its_digest():

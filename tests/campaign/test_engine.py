@@ -25,6 +25,7 @@ from repro.campaign import (
 from repro.campaign.attacks import attack_setup
 from repro.campaign.engine import evaluate_firmware
 from repro.campaign.generator import INSTRUCTION_BUDGET
+from repro.hw import Machine
 from repro.interp.batch import BatchRunner
 from repro.pipeline import build_opec, build_vanilla
 
@@ -94,19 +95,21 @@ def test_evaluate_firmware_report_shape():
 
 def test_lane_machines_freed_by_reference_counting(monkeypatch,
                                                    no_artifact_store):
-    """Once ``evaluate_firmware`` has classified its lanes, reference
-    counting alone frees every lane machine (1.2 MB of flash and SRAM
-    each): no device back-link or recorded traceback keeps one in a
-    cycle until the next full collection."""
+    """``evaluate_firmware`` classifies each lane as it finishes, and
+    reference counting alone frees the lane's machine (its SRAM, about
+    200 KB) before the next lane's is built: no device back-link or
+    recorded traceback keeps one in a cycle until the next full
+    collection."""
     machines = []
-    add = BatchRunner.add
+    alive_at_build = []
+    init = Machine.__init__
 
-    def tracking_add(self, *args, **kwargs):
-        lane = add(self, *args, **kwargs)
-        machines.append(weakref.ref(lane.machine))
-        return lane
+    def tracking_init(machine, *args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in machines))
+        init(machine, *args, **kwargs)
+        machines.append(weakref.ref(machine))
 
-    monkeypatch.setattr(BatchRunner, "add", tracking_add)
+    monkeypatch.setattr(Machine, "__init__", tracking_init)
     config = dataclasses.replace(SMALL, backends=("mpu", "pmp", "overlay"))
     gc.collect()
     gc.disable()
@@ -116,6 +119,7 @@ def test_lane_machines_freed_by_reference_counting(monkeypatch,
     finally:
         gc.enable()
     assert len(machines) == 27  # 3 flavours x 3 backends x 3 lanes
+    assert max(alive_at_build) <= 1
     assert alive == []
     # Blocked lanes are the ones that recorded a terminal fault.
     assert any(cell.outcome == "blocked" for cell in report.cells.values())

@@ -1,10 +1,12 @@
 """Unit tests for the memory map."""
 
 import pickle
+import tracemalloc
 
 import pytest
 
-from repro.hw import FlashRegion, HardFault, MemoryMap, MMIORegion, RamRegion
+from repro.hw import (FlashRegion, HardFault, Machine, MemoryMap, MMIORegion,
+                      RamRegion, stm32479i_eval, stm32f4_discovery)
 from repro.hw.memory import PAGE_SIZE, pack_pages, unpack_pages
 
 
@@ -91,6 +93,85 @@ class TestFlash:
         flash = FlashRegion("f", 0x08000000, 0x100)
         flash.program(0x08000010, b"\xAA\xBB")
         assert flash.read(0x08000010, 2) == 0xBBAA
+
+
+class TestCompactFlash:
+    """Flash keeps only the programmed extent; every other address of
+    the region reads as erased zero."""
+
+    BASE = 0x08000000
+
+    def _flash(self):
+        flash = FlashRegion("f", self.BASE, 0x1000)
+        flash.program(self.BASE + 0x10, b"\x11\x22\x33\x44")
+        return flash
+
+    def test_holds_only_the_programmed_extent(self):
+        flash = self._flash()
+        assert len(flash.data) == 0x14
+        assert (flash.base, flash.size, flash.end) == \
+            (self.BASE, 0x1000, self.BASE + 0x1000)
+        flash.program(self.BASE, b"\x99")
+        assert len(flash.data) == 0x14
+        assert flash.read(self.BASE, 1) == 0x99
+        assert flash.read(self.BASE + 0x10, 4) == 0x44332211
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_reads_past_the_extent_are_zero(self, size):
+        flash = self._flash()
+        assert flash.read(self.BASE + 0x14, size) == 0
+        assert flash.read(self.BASE + 0x800, size) == 0
+        assert flash.read(self.BASE + 0x1000 - size, size) == 0
+
+    @pytest.mark.parametrize("size, value", [
+        (2, 0x44), (4, 0x4433)])
+    def test_read_straddling_the_extent_end(self, size, value):
+        flash = self._flash()
+        address = self.BASE + 0x14 - size // 2
+        assert flash.read(address, size) == value
+
+    def test_map_reads_past_the_extent_are_zero(self):
+        memory = MemoryMap()
+        memory.map(self._flash())
+        for size in (1, 2, 4):
+            assert memory.read(self.BASE + 0x100, size) == 0
+        with pytest.raises(HardFault, match="crosses"):
+            memory.read(self.BASE + 0xFFE, 4)
+
+    def test_read_bytes_zero_pads(self):
+        flash = self._flash()
+        assert flash.read_bytes(self.BASE + 0x12, 6) == \
+            b"\x33\x44" + bytes(4)
+        assert flash.read_bytes(self.BASE + 0x100, 8) == bytes(8)
+        with pytest.raises(HardFault, match="leaves region"):
+            flash.read_bytes(self.BASE + 0xFFC, 8)
+
+    @pytest.mark.parametrize("offset, length", [
+        (0x1000 - 2, 4), (0x1000, 1), (-4, 4), (-2, 4)])
+    def test_program_outside_the_region_raises(self, offset, length):
+        flash = self._flash()
+        before = bytes(flash.data)
+        with pytest.raises(HardFault, match="leaves region"):
+            flash.program(self.BASE + offset, b"\xEE" * length)
+        assert flash.data == before
+
+    def test_bulk_write_refused(self):
+        with pytest.raises(HardFault, match="flash"):
+            self._flash().write_bytes(self.BASE, b"hi")
+
+    @pytest.mark.parametrize("board", [stm32f4_discovery, stm32479i_eval],
+                             ids=["1MB-192KB", "2MB-288KB"])
+    def test_fresh_machine_allocates_about_its_sram(self, board):
+        board = board()
+        Machine(board)          # warm imports and lazy module state
+        tracemalloc.start()
+        try:
+            machine = Machine(board)
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert machine.sram.size == board.sram_size
+        assert allocated < board.sram_size + 64 * 1024
 
 
 class TestMap:

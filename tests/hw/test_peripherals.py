@@ -138,8 +138,9 @@ class TestSDCard:
         card.mmio_write(SDCard.CMD, 4, SDCard.CMD_WRITE_BLOCK)
         for _ in range(128):
             card.mmio_write(SDCard.FIFO, 4, 0xAABBCCDD)
-        assert card.image == bytearray(2 * 512)
         assert card.writes == 0
+        assert card.read_block_host(5) == bytes(512)
+        assert len(card.image) <= 2 * 512
         # The card still accepts in-range writes afterwards.
         card.mmio_write(SDCard.ARG, 4, 1)
         card.mmio_write(SDCard.CMD, 4, SDCard.CMD_WRITE_BLOCK)
@@ -147,6 +148,33 @@ class TestSDCard:
             card.mmio_write(SDCard.FIFO, 4, 0x11111111)
         assert card.read_block_host(1) == b"\x11" * 512
         assert len(card.image) == 2 * 512
+
+    def test_unwritten_block_streams_zero_words(self):
+        card = SDCard(image=b"\x11" * 512)
+        card.machine = FakeMachine()
+        card.mmio_write(SDCard.ARG, 4, 7)
+        card.mmio_write(SDCard.CMD, 4, SDCard.CMD_READ_BLOCK)
+        words = [card.mmio_read(SDCard.FIFO, 4) for _ in range(128)]
+        assert words == [0] * 128
+        assert card.read_block_host(7) == bytes(512)
+        assert len(card.image) == 512
+
+    def test_write_past_image_end_extends_and_reads_back(self):
+        card = SDCard(image=b"\x11" * 600)
+        card.machine = FakeMachine()
+        card.mmio_write(SDCard.ARG, 4, 3)
+        card.mmio_write(SDCard.CMD, 4, SDCard.CMD_WRITE_BLOCK)
+        for _ in range(128):
+            card.mmio_write(SDCard.FIFO, 4, 0x01020304)
+        assert card.writes == 1
+        assert len(card.image) == 4 * 512
+        assert card.read_block_host(3) == b"\x04\x03\x02\x01" * 128
+        assert card.read_block_host(1) == b"\x11" * 88 + bytes(424)
+        assert card.read_block_host(2) == bytes(512)
+        card.mmio_write(SDCard.ARG, 4, 3)
+        card.mmio_write(SDCard.CMD, 4, SDCard.CMD_READ_BLOCK)
+        words = [card.mmio_read(SDCard.FIFO, 4) for _ in range(128)]
+        assert words == [0x01020304] * 128
 
     def test_pickles_sparse_and_identical(self):
         card = SDCard(image=b"\x07" * 512, capacity_blocks=4096)

@@ -4,7 +4,7 @@ import pytest
 
 import repro.ir as ir
 from repro import build_opec
-from repro.hw import MIN_REGION_SIZE, stm32f4_discovery
+from repro.hw import MIN_REGION_SIZE, Machine, stm32f4_discovery
 from repro.image import (
     LinkError,
     VECTOR_TABLE_SIZE,
@@ -17,7 +17,7 @@ from repro.image import (
     monitor_code_size,
     subregion_disable_for_free_range,
 )
-from repro.ir import I32, VOID
+from repro.ir import GlobalVariable, I32, VOID
 
 from ..conftest import MINI_SPECS, build_mini_module
 
@@ -56,6 +56,31 @@ class TestVanillaLayout:
         image = build_vanilla_image(module, board)
         address = image.global_address(k)
         assert board.flash_base <= address < board.flash_base + board.flash_size
+
+    def test_initial_memory_encoded_once_per_image(self, board,
+                                                   monkeypatch):
+        module = build_mini_module()
+        module.add_global("k", I32, 7, is_const=True)
+        module.add_global("w", I32, 0x1234)
+        image = build_vanilla_image(module, board)
+        encoded = []
+        encode = GlobalVariable.encode_initializer
+
+        def spy(gvar):
+            encoded.append(gvar)
+            return encode(gvar)
+
+        monkeypatch.setattr(GlobalVariable, "encode_initializer", spy)
+        first, second = Machine(board), Machine(board)
+        image.initialize_memory(first)
+        image.initialize_memory(second)
+        globals_ = list(module.iter_globals())
+        assert sorted(g.name for g in encoded) == \
+            sorted(g.name for g in globals_)
+        assert any(g.is_const for g in globals_)
+        assert first.flash.data == second.flash.data
+        assert len(first.flash.data) > 0
+        assert first.sram.data == second.sram.data
 
     def test_stack_at_top(self, mini_module, board):
         image = build_vanilla_image(mini_module, board)

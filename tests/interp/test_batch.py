@@ -2,9 +2,13 @@
 
 The batch contract: lanes are fully isolated (a batched lane's
 simulated outcome is bit-identical to a solo run of the same image),
-compiled block closures warm across lanes through the shared IR, and
-one lane's terminal fault never disturbs the fleet.
+compiled block closures warm across lanes through the shared IR, one
+lane's terminal fault never disturbs the fleet, and lanes are built,
+run and handed over one at a time, in ``add`` order.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -76,9 +80,11 @@ class TestBatchIdentity:
         runner = BatchRunner(block_compile=True, trace_fuse=False)
         for _ in range(3):
             runner.add(image)
-        result = runner.run()
-        assert not result.failed
-        for lane in result.lanes:
+        finished = []
+        result = runner.run(finished.append)
+        assert result.lanes == [] and len(finished) == 3
+        for lane in finished:
+            assert lane.error is None
             assert lane.halt_code == solo_code
             assert lane.machine.cycles == solo_machine.cycles
             assert lane.machine.stats.as_dict() == \
@@ -110,9 +116,77 @@ class TestBatchIdentity:
     def test_default_lane_names(self):
         image = build_vanilla_image(_loop_module(5), stm32f4_discovery())
         runner = BatchRunner()
-        runner.add(image)
-        named = runner.add(image, name="probe")
-        assert [lane.name for lane in runner.lanes] == ["lane0", "probe"]
+        assert runner.add(image) == "lane0"
+        assert runner.add(image, name="probe") == "probe"
+        assert runner.add(image) == "lane2"
+        assert [lane.name for lane in runner.run().lanes] == \
+            ["lane0", "probe", "lane2"]
+
+
+class TestOneLaneAtATime:
+    """``add`` builds nothing; ``run`` builds each lane's machine when
+    it reaches the lane and keeps no lane it has handed over."""
+
+    def test_no_machine_before_run_reaches_its_lane(self, monkeypatch):
+        built = []
+        init = Machine.__init__
+
+        def tracking_init(machine, *args, **kwargs):
+            init(machine, *args, **kwargs)
+            built.append(machine)
+
+        monkeypatch.setattr(Machine, "__init__", tracking_init)
+        image = build_vanilla_image(_loop_module(5), stm32f4_discovery())
+        runner = BatchRunner()
+        for _ in range(3):
+            runner.add(image)
+        assert built == []
+        handed = []
+
+        def on_lane(lane):
+            assert built[-1] is lane.machine
+            handed.append(lane.name)
+
+        runner.run(on_lane)
+        assert handed == ["lane0", "lane1", "lane2"]
+        assert len(built) == 3
+
+    def test_handed_over_lane_freed_before_next_is_built(
+            self, monkeypatch):
+        board = stm32f4_discovery()
+        good = build_vanilla_image(_loop_module(5), board)
+        bad = build_vanilla_image(_crash_module(), board)
+        machines = []
+        alive_at_build = []
+        init = Machine.__init__
+
+        def tracking_init(machine, *args, **kwargs):
+            alive_at_build.append(
+                sum(ref() is not None for ref in machines))
+            init(machine, *args, **kwargs)
+            machines.append(weakref.ref(machine))
+
+        monkeypatch.setattr(Machine, "__init__", tracking_init)
+        runner = BatchRunner()
+        for image in (good, bad, good, good):
+            runner.add(image)
+        outcomes = []
+
+        def on_lane(lane):
+            outcomes.append(lane.error is None)
+            lane.machine.release_devices()
+
+        gc.collect()
+        gc.disable()
+        try:
+            result = runner.run(on_lane)
+            alive = [ref for ref in machines if ref() is not None]
+        finally:
+            gc.enable()
+        assert outcomes == [True, False, True, True]
+        assert alive_at_build == [0, 0, 0, 0]
+        assert alive == []
+        assert result.lanes == []
 
 
 class TestFaultIsolation:
@@ -137,7 +211,7 @@ class TestFaultIsolation:
                             ("good3", good)):
             runner.add(image, name=name)
         result = runner.run()
-        assert resumed == [lane.interpreter for lane in runner.lanes]
+        assert resumed == [lane.interpreter for lane in result.lanes]
         assert [lane.name for lane in result.failed] == ["doomed"]
         assert [lane.halt_code for lane in result.lanes] == \
             [sum(range(50))] * 2 + [None] + [sum(range(50))] * 2

@@ -166,6 +166,23 @@ class TestRunFleet:
         host = dashboard.split(fleet.HOST_SECTION_MARKER)[1]
         assert "worker1" in host
 
+    def test_no_drop_warning_when_every_ring_kept_up(self, result):
+        assert all(lane.dropped == 0 for lane in result.lanes)
+        assert "warning:" not in fleet.render_dashboard(result)
+
+    def test_tiny_ring_warns_of_dropped_events(self):
+        fleet.reset()
+        tiny = fleet.run_fleet("PinLock", jobs=1, profile="quick",
+                               backends=("mpu",), capacity=16)
+        truncated = [lane for lane in tiny.lanes if lane.dropped]
+        assert truncated
+        lines = fleet.render_dashboard(tiny).splitlines()
+        assert lines[2].startswith("lanes: ")
+        assert lines[3] == (
+            f"warning: {sum(lane.dropped for lane in truncated)} sim "
+            f"events dropped in {len(truncated)} lanes (ring overflow); "
+            f"those lanes' traces start mid-run")
+
     def test_no_trace_drops_lane_events_but_keeps_metrics(self):
         fleet.reset()
         result = fleet.run_fleet("PinLock", jobs=1, profile="quick",
