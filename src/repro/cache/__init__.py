@@ -4,7 +4,8 @@ Compile each firmware once and reuse the artifacts across every
 process: :mod:`repro.pipeline` and :mod:`repro.baselines` consult the
 store before building, the evaluation harness
 (:mod:`repro.eval.workloads`) additionally caches simulated runs, task
-traces and each application's finished evaluation rows, and
+traces and each application's finished evaluation rows, the campaign
+each firmware's report, ``repro fleet`` each lane's telemetry, and
 ``REPRO_JOBS`` workers share the store through the filesystem.  See
 DESIGN.md, "Build caching" for the digest definition and the
 byte-identity contract.
@@ -14,6 +15,7 @@ from .digest import (
     CACHE_SCHEMA_VERSION,
     build_digest,
     clear_digest_memos,
+    lane_digest,
     module_digest,
     pipeline_fingerprint,
     rows_digest,
@@ -42,6 +44,7 @@ __all__ = [
     "clear_digest_memos",
     "counters_delta",
     "counters_snapshot",
+    "lane_digest",
     "module_digest",
     "pipeline_fingerprint",
     "reset_store_state",

@@ -180,6 +180,16 @@ def rows_digest(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def lane_digest(run_key: str, *, capacity: int, trace: bool) -> str:
+    """Content key for one fleet lane's sim-domain telemetry, chained
+    off the :func:`run_digest` of the run it records (build, app,
+    profile, budget, backend).  The ring ``capacity`` decides which
+    events the lane keeps and how many it drops; ``trace`` whether it
+    keeps any."""
+    text = f"lane\0{run_key}\0capacity={capacity}\0trace={int(trace)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def closures_digest(module: Module) -> str:
     """Content key for a module's compiled-closure bundle.
 

@@ -8,12 +8,13 @@ each attack against each concrete image, and drives one
 baseline lane plus one lane per attack, for every (flavour, backend)
 pair, all sharing the flavour images and their compiled blocks.
 
-Firmwares fan out over ``REPRO_JOBS`` worker processes
-(``ProcessPoolExecutor``, like :func:`repro.eval.workloads.
-compute_all_rows`); the per-firmware reports are merged in corpus
+Firmwares fan out over ``REPRO_JOBS`` worker processes through
+:func:`repro.obs.fleet.fan_out`, like :func:`repro.eval.workloads.
+compute_all_rows`; the per-firmware reports are merged in corpus
 index order, and each finished :class:`FirmwareReport` is itself
 persisted in the artifact store, so re-running a campaign with a warm
-store replays no simulation at all.  Either way the merged
+store replays no simulation and starts no worker: the caller serves
+every report from its entry.  Either way the merged
 :class:`CampaignResult` — and the report rendered from it — is
 byte-identical: same seed, same bytes, regardless of job count, cache
 temperature, or ``PYTHONHASHSEED``.
@@ -228,16 +229,10 @@ def _pt_values(config: CampaignConfig, firmware: GeneratedFirmware,
 
 
 def evaluate_firmware(config: CampaignConfig, index: int) -> FirmwareReport:
-    """Generate, build, attack, and classify one corpus member."""
+    """Generate, build, attack, and classify one corpus member.  The
+    report store is :func:`run_campaign`'s business: this always
+    evaluates."""
     firmware = generate_firmware(config.seed, index)
-    store = cache.active_store()
-    digest = ""
-    if store is not None:
-        digest = _report_digest(config, firmware)
-        cached = store.get(digest)
-        if cached is not None:
-            return cached
-
     with fleet.wall_span(active_recorder(), FLEET_FIRMWARE,
                          firmware.name, index=index):
         images = _build_images(config, firmware)
@@ -292,17 +287,15 @@ def evaluate_firmware(config: CampaignConfig, index: int) -> FirmwareReport:
         result = runner.run(classify)
 
     fleet.record_simulation(compile_metrics=result.compile_metrics)
-    if store is not None:
-        store.put(digest, report)
     return report
 
 
-def _report_digest(config: CampaignConfig,
-                   firmware: GeneratedFirmware) -> str:
+def _report_digest(config: CampaignConfig, index: int) -> str:
     """Content key for one firmware's finished report: the firmware's
     structural digest plus every config axis that shapes the lanes.
     The store itself is scoped by the pipeline fingerprint, so source
     changes invalidate these entries like any build."""
+    firmware = generate_firmware(config.seed, index)
     key = hashlib.sha256()
     key.update(b"campaign-report-v1\n")
     key.update(repr((config.seed, firmware.index, config.attacks,
@@ -313,22 +306,26 @@ def _report_digest(config: CampaignConfig,
 
 
 def _firmware_worker(
-        job: tuple[CampaignConfig, int],
+        job: tuple[tuple[CampaignConfig, int], str],
 ) -> tuple[FirmwareReport, fleet.WorkerTelemetry]:
-    """Process-pool entry point.  No environment pinning: every
-    parameter the lanes depend on travels inside ``config``, and the
-    artifact store location is inherited.  Each firmware evaluates
+    """Process-pool entry point of :func:`repro.obs.fleet.fan_out`:
+    ``job`` is ``((config, index), digest)``, and the report is stored
+    under ``digest`` unless that is empty.  No environment pinning:
+    every parameter the lanes depend on travels inside ``config``, and
+    the artifact store location is inherited.  Each firmware evaluates
     inside its own telemetry capture window, so the returned envelope
     carries exactly that firmware's cache traffic, compile activity,
     simulated metrics, and — under ``config.telemetry_trace`` — its
     ``fleet.firmware`` wall-clock span."""
-    config, index = job
+    (config, index), digest = job
     recorder = FlightRecorder(trace_capacity()) \
         if config.telemetry_trace else None
     previous = install(recorder) if recorder is not None else None
     token = fleet.begin_capture()
     try:
         report = evaluate_firmware(config, index)
+        if digest:
+            cache.active_store().put(digest, report)
     finally:
         if recorder is not None:
             install(previous)
@@ -339,30 +336,24 @@ def _firmware_worker(
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Run the whole corpus, fanned out over ``REPRO_JOBS`` workers."""
+    """Run the whole corpus, fanned out over ``REPRO_JOBS`` workers.
+
+    Each finished :class:`FirmwareReport` is one entry in the artifact
+    store.  This process looks every report up first and serves the
+    hits itself; only the firmwares the store lacks are evaluated, in
+    a pool when more than one is missing (contiguous chunks, not one
+    task per firmware, keep each worker on one long-lived slice: the
+    per-process build memos and the warm closure cache amortise across
+    the chunk).  With the store off nothing is looked up or generated
+    here before the pool starts."""
     from ..eval.workloads import repro_jobs
 
     config.validate()
     jobs = repro_jobs() if config.jobs is None else max(1, config.jobs)
-    indices = list(range(config.firmwares))
-    if jobs > 1 and len(indices) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, len(indices))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Contiguous chunks (not one task per firmware) keep each
-            # worker on one long-lived slice: the per-process build
-            # memos and the warm closure cache amortise across the
-            # chunk instead of being re-proven per pickled task.
-            pairs = list(pool.map(
-                _firmware_worker,
-                [(config, index) for index in indices],
-                chunksize=-(-len(indices) // workers)))
-    else:
-        pairs = [_firmware_worker((config, index)) for index in indices]
-    # Workers return in map order (= corpus index order) already, but
-    # sort defensively so the merge is order-independent by contract.
-    pairs.sort(key=lambda pair: pair[0].index)
+    pairs = fleet.fan_out(
+        _firmware_worker,
+        [(config, index) for index in range(config.firmwares)], jobs,
+        digest_of=lambda task: _report_digest(*task), chunked=True)
     reports = [report for report, _ in pairs]
     telemetry = []
     for position, (report, envelope) in enumerate(pairs):

@@ -28,7 +28,8 @@ Usage (``python -m repro.cli <command>``):
   fuse the per-worker telemetry envelopes into one multi-process
   Perfetto trace (``BASE.json``) and print the fleet dashboard
   (per-worker utilisation, cache hit rates, switch-cost histograms
-  per backend, lane fault rates);
+  per backend, lane fault rates); on a warm store the eval lanes come
+  from their store entries (``REPRO_CACHE=off`` for a live run);
 * ``attack`` — the PinLock §6.1 case-study demo.
 
 ``--backend`` is threaded through the call stack as an explicit
@@ -500,7 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_cmd = sub.add_parser(
         "fleet", help="run a target across a worker fleet and fuse "
-                      "traces + metrics into one dashboard")
+                      "traces + metrics into one dashboard",
+        description="Run an eval target (one lane per app, build "
+                    "flavour and backend) or the campaign across a "
+                    "worker fleet and fuse the telemetry into one "
+                    "trace and dashboard.  Each eval lane is an "
+                    "artifact-store entry: on a warm store the lanes "
+                    "come from their entries and no worker starts; "
+                    "REPRO_CACHE=off gives a live run, as for every "
+                    "other command.")
     fleet_cmd.add_argument(
         "target", help="application name, 'all', or 'campaign'")
     fleet_cmd.add_argument("--jobs", type=int, default=None,

@@ -11,8 +11,10 @@ and figure and writes:
   each application's row task computes;
 * ``trace_pinlock.json`` / ``trace_pinlock.tsv`` — the PinLock OPEC
   run's flight-recorder stream (Chrome trace-event JSON for Perfetto,
-  plus one row per event) — sim domain only, so the bytes are
-  cache-temperature-independent;
+  plus one row per event), taken from the fleet step's
+  ``PinLock:opec:<backend>`` lane — sim domain only, so the bytes are
+  cache-temperature-independent and equal what
+  :func:`repro.eval.tracing.record_app_trace` renders;
 * ``metrics_pinlock.txt`` — the same run's metrics registry;
 * ``campaign_smoke.txt`` / ``campaign_smoke.tsv`` — the differential
   security campaign over the committed smoke corpus
@@ -28,13 +30,14 @@ and figure and writes:
 
 The table, figure and backend rows come from one
 :func:`repro.eval.workloads.compute_all_rows` call: one task per
-application, which on a warm store reads that application's finished
-rows from one row entry and otherwise computes them, simulating each
-run its rows and cells need that the artifact store lacks.  So a warm
-export simulates only the PinLock flight-recorder run and the fleet
-step; the campaign's firmware reports come from the store too.
-``REPRO_JOBS`` > 1 runs the row tasks concurrently while the written
-files stay bit-identical to a serial export.
+application, whose finished rows are one row entry in the artifact
+store; a missing entry is computed, simulating each run its rows and
+cells need that the store lacks.  The campaign's firmware reports and
+the fleet's lanes are store entries too.  All three fan-outs look
+their entries up in this process and start a ``REPRO_JOBS`` pool only
+for what is missing, so a warm export forks no worker and simulates
+nothing.  ``REPRO_JOBS`` > 1 runs the missing tasks concurrently
+while the written files stay bit-identical to a serial export.
 
 The ``repro.eval`` package must not import this module: ``python -m``
 would then run it twice.
@@ -47,7 +50,6 @@ import sys
 
 from ..obs import chrome_trace, event_tsv
 from . import backends, figure9, figure10, figure11, table1, table2, table3
-from .tracing import record_app_trace
 from .workloads import compute_all_rows
 
 
@@ -67,6 +69,13 @@ def export_all(output_dir: str) -> list[str]:
         with open(tsv_path, "w", encoding="utf-8") as handle:
             handle.write(_tsv(rows))
         written.extend([text_path, tsv_path])
+
+    def write_all(files: list[tuple[str, str]]) -> None:
+        for name, text in files:
+            path = os.path.join(output_dir, name)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            written.append(path)
 
     all_rows = compute_all_rows()
 
@@ -133,21 +142,31 @@ def export_all(output_dir: str) -> list[str]:
           for r in bk],
     ])
 
-    # Flight-recorder exports: PinLock under OPEC, simulated fresh (a
-    # cached RunResult carries no event stream).  Sim-domain only, so
-    # the bytes do not depend on cache temperature.
-    recorder, result = record_app_trace("PinLock", "opec")
-    for name, text in [
-        ("trace_pinlock.json", chrome_trace(recorder)),
-        ("trace_pinlock.tsv", event_tsv(recorder)),
-        ("metrics_pinlock.txt", result.machine.metrics.render(
-            f"PinLock [opec] — halt={result.halt_code} "
-            f"cycles={result.cycles}") + "\n"),
-    ]:
-        path = os.path.join(output_dir, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        written.append(path)
+    # Fleet observability: PinLock lanes across every backend, fanned
+    # out over two workers for the lanes the store lacks.  Only the sim
+    # sections join the determinism sweep (the host sections are wall
+    # clock).
+    from ..hw.backend import active_backend
+    from ..obs import fleet as fleet_obs
+
+    fleet_result = fleet_obs.run_fleet(
+        "PinLock", jobs=2, backends=("mpu", "pmp", "overlay"))
+
+    # Flight-recorder exports: the fleet's PinLock OPEC lane on the
+    # ambient backend, recorded by the same ring a lone traced run
+    # would use.  Sim-domain only, so the bytes do not depend on cache
+    # temperature.
+    lane_name = f"PinLock:opec:{active_backend()}"
+    lane = next(lane for lane in fleet_result.lanes
+                if lane.name == lane_name)
+    write_all([
+        ("trace_pinlock.json",
+         chrome_trace(lane.events, dropped=lane.dropped)),
+        ("trace_pinlock.tsv", event_tsv(lane.events)),
+        ("metrics_pinlock.txt", lane.metrics.render(
+            f"PinLock [opec] — halt={lane.halt_code} "
+            f"cycles={lane.cycles}") + "\n"),
+    ])
 
     # Differential security campaign over the smoke corpus.  Fans out
     # over the same REPRO_JOBS pool; the report is byte-identical at
@@ -159,22 +178,11 @@ def export_all(output_dir: str) -> list[str]:
     save("campaign_smoke", render_report(campaign),
          report_rows(campaign))
 
-    # Fleet observability export: PinLock lanes across every backend,
-    # fanned out over two workers.  Only the sim sections join the
-    # determinism sweep (the host sections are wall-clock).
-    from ..obs import fleet as fleet_obs
-
-    fleet_result = fleet_obs.run_fleet(
-        "PinLock", jobs=2, backends=("mpu", "pmp", "overlay"))
-    for name, text in [
+    write_all([
         ("fleet_pinlock.json", fleet_obs.fuse_trace(fleet_result)),
         ("fleet_pinlock.txt",
          fleet_obs.render_dashboard(fleet_result) + "\n"),
-    ]:
-        path = os.path.join(output_dir, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        written.append(path)
+    ])
     return written
 
 

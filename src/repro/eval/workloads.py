@@ -16,16 +16,17 @@ builds and completed simulation results across processes.  Set
 
 :func:`map_apps` is the evaluation fan-out: one task per application,
 run serially in-process or — with ``REPRO_JOBS`` > 1 — in a process
-pool, results in the order of the applications.  Both
-:func:`compute_all_rows` (every table/figure row of §6 plus the
-backend matrix's cells) and :func:`repro.eval.backends.compute_matrix`
-go through it, so the rendered output is byte-identical either way.
-The row task of :func:`compute_all_rows` is content-addressed as a
-whole: a warm store serves each application's finished rows from one
-*row entry*.  Only on a miss does the task call :func:`run_build`,
-which loads a run from its run entry or simulates it, on the same
-interpreter loop as every other run, when a row or cell first asks
-for it.
+pool (:func:`repro.obs.fleet.fan_out`), results in the order of the
+applications.  Both :func:`compute_all_rows` (every table/figure row
+of §6 plus the backend matrix's cells) and
+:func:`repro.eval.backends.compute_matrix` go through it, so the
+rendered output is byte-identical either way.  The row task of
+:func:`compute_all_rows` is content-addressed as a whole: this
+process looks each application's *row entry* up first and serves a
+hit itself, so a warm store starts no worker.  Only on a miss does
+the task call :func:`run_build`, which loads a run from its run entry
+or simulates it, on the same interpreter loop as every other run,
+when a row or cell first asks for it.
 """
 
 from __future__ import annotations
@@ -223,25 +224,15 @@ def _compute_app_rows(name: str, backend: str) -> dict:
     explicit parameter; the remaining rows are static analyses with no
     enforcement substrate.
 
-    The finished rows are one *row entry* in the artifact store: a hit
-    returns it and builds, simulates and loads nothing else.  On a
-    miss each run is simulated (or loaded from its run entry) by
-    :func:`run_build` when a cell or row first asks for it, and the
-    entry is written only once every row exists, so every run the rows
-    came from has passed the application's ``verify_run``.  Row
-    objects are plain dataclasses of primitives, so they cross a
-    process boundary."""
+    Each run is simulated (or loaded from its run entry) by
+    :func:`run_build` when a cell or row first asks for it, so every
+    run the rows come from has passed the application's
+    ``verify_run``.  Row objects are plain dataclasses of primitives,
+    so they cross a process boundary and are stored whole as the
+    app's *row entry* (see :func:`compute_all_rows`)."""
     from . import backends, figure9, figure10, figure11, table1, table2, table3
 
     profile = active_profile()
-    store = cache.active_store()
-    digest = ""
-    if store is not None:
-        digest = _rows_digest(build_app(name, profile), name, profile,
-                              backend)
-        cached = store.get(digest)
-        if cached is not None:
-            return cached
     # Cells first: the runs only they need leave before the rows load
     # theirs, so the task holds no more machines at once than its rows
     # alone would.
@@ -258,8 +249,6 @@ def _compute_app_rows(name: str, backend: str) -> dict:
         rows["table2"] = table2.compute_rows(name, backend=backend)
         rows["figure10"] = figure10.compute_app(name)
         rows["figure11"] = figure11.compute_app(name)
-    if store is not None:
-        store.put(digest, rows)
     return rows
 
 
@@ -272,41 +261,49 @@ def _drop_runs(name: str, keep: Collection[tuple] = ()) -> None:
         del _run_cache[key]
 
 
-def _run_app_task(task: Callable[[str], object],
-                  name: str) -> tuple[object, fleet.WorkerTelemetry]:
-    """``task(name)`` inside a telemetry capture window; the app's runs
-    are dropped once the task is done.  A capture window, not process
-    totals: the pool reuses its processes, so one worker computes
-    several apps back to back.  Also the process-pool entry point:
-    ``task`` is a module-level function or a ``functools.partial`` of
-    one, and a worker inherits the parent's environment as it is
-    (profile, ``REPRO_CACHE`` and the rest), so workers share the
-    parent's on-disk store and only the first process to need a build
-    or run pays for it."""
+def _run_app_task(job: tuple[tuple[Callable[[str], object], str], str]
+                  ) -> tuple[object, fleet.WorkerTelemetry]:
+    """``task(name)`` inside a telemetry capture window, stored under
+    ``digest`` unless that is empty; the app's runs are dropped once
+    the task is done.  ``job`` is ``((task, name), digest)``.  A
+    capture window, not process totals: the pool reuses its
+    processes, so one worker computes several apps back to back.
+    Also the process-pool entry point of :func:`repro.obs.fleet.
+    fan_out`: ``task`` is a module-level function or a
+    ``functools.partial`` of one, and a worker inherits the parent's
+    environment as it is (profile, ``REPRO_CACHE`` and the rest), so
+    workers share the parent's on-disk store and only the first
+    process to need a build or run pays for it."""
+    (task, name), digest = job
     token = fleet.begin_capture()
     try:
         result = task(name)
+        if digest:
+            cache.active_store().put(digest, result)
     finally:
-        envelope = fleet.end_capture(token, label=name)
+        envelope = fleet.end_capture(token)
         _drop_runs(name)
     return result, envelope
 
 
 def map_apps(task: Callable[[str], object], names: Sequence[str],
-             jobs: Optional[int] = None
+             jobs: Optional[int] = None, *, digest_of=None
              ) -> list[tuple[object, fleet.WorkerTelemetry]]:
     """``(task(name), telemetry envelope)`` for each of ``names``, in
-    order.  With ``jobs`` (default: ``REPRO_JOBS``) > 1 the apps run
-    in a process pool, one app per task so an idle worker takes the
-    next app; otherwise serially in this process."""
+    order, through :func:`repro.obs.fleet.fan_out`.  With ``jobs``
+    (default: ``REPRO_JOBS``) > 1 the apps run in a process pool, one
+    app per task so an idle worker takes the next app; otherwise
+    serially in this process.  With ``digest_of(name)`` (and the store
+    on) each app's result is first looked up in this process, and only
+    the apps the store lacks are computed, then stored."""
     jobs = repro_jobs() if jobs is None else max(1, jobs)
-    if jobs > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(names))) as pool:
-            return list(pool.map(_run_app_task, [task] * len(names), names))
-    return [_run_app_task(task, name) for name in names]
+    results = fleet.fan_out(
+        _run_app_task, [(task, name) for name in names], jobs,
+        digest_of=None if digest_of is None
+        else lambda pair: digest_of(pair[1]))
+    for name, (_result, envelope) in zip(names, results):
+        envelope.label = name
+    return results
 
 
 def compute_all_rows(jobs: Optional[int] = None,
@@ -316,14 +313,17 @@ def compute_all_rows(jobs: Optional[int] = None,
     ``Average`` rows, as :func:`repro.eval.backends.compute_matrix`
     returns them).
 
-    Each application is one :func:`map_apps` task.  On a warm store
-    the task reads its application's row entry and nothing else;
-    otherwise it simulates each run its rows and cells need when one
-    first asks for it (unless the store holds that run), drops the
-    app's runs once its rows exist, and stores the rows.  With
-    ``jobs`` (default: ``REPRO_JOBS``) > 1 the tasks run in a process
-    pool; the per-app rows are merged in fixed ``APP_NAMES`` order, so
-    the result — and everything rendered from it — is identical to the
+    Each application is one :func:`map_apps` task whose finished rows
+    are one *row entry* in the artifact store.  This process looks
+    every row entry up first: a hit is the app's rows, and nothing else
+    is built, simulated or decoded for it.  Only the apps the store
+    lacks are computed, each simulating the runs its rows and cells
+    need when one first asks for it (unless the store holds that run),
+    dropping them once its rows exist, and storing the rows.  With
+    ``jobs`` (default: ``REPRO_JOBS``) > 1 and more than one app to
+    compute, those run in a process pool; a warm store starts none.
+    The per-app rows are merged in fixed ``APP_NAMES`` order, so the
+    result — and everything rendered from it — is identical to the
     serial path.
 
     The returned mapping carries three extra, non-table keys.
@@ -342,11 +342,14 @@ def compute_all_rows(jobs: Optional[int] = None,
     from . import backends, figure9, table1
 
     backend = backend or active_backend()
+    profile = active_profile()
     outer = fleet.begin_capture()
     try:
         results = map_apps(
             functools.partial(_compute_app_rows, backend=backend),
-            APP_NAMES, jobs)
+            APP_NAMES, jobs,
+            digest_of=lambda name: _rows_digest(
+                build_app(name, profile), name, profile, backend))
     finally:
         conductor = fleet.end_capture(outer, label="conductor")
     per_app = {name: rows for name, (rows, _envelope)

@@ -72,6 +72,9 @@ REGION_EVICT = "mpu.region_evict"
 HALT = "run.halt"
 #: A terminal fault escaped the run (crash-context marker).
 CRASH = "run.crash"
+#: Fused fleet trace only: the lane's ring overflowed, so its kept
+#: events start here, mid-run; ``args.dropped`` counts the lost ones.
+TRACE_TRUNCATED = "trace.truncated"
 
 # -- host-side event kinds -----------------------------------------------
 

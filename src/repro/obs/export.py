@@ -15,10 +15,14 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .events import DOMAIN_SIM, Event, INSTANT
 from .recorder import FlightRecorder
+
+#: What the exporters render: a recorder's buffer, or an event list
+#: such as a fleet lane's kept sim events (``LaneTelemetry.events``).
+EventSource = Union[FlightRecorder, Iterable[Event]]
 
 #: Perfetto track ids per domain: simulated events on one track so
 #: B/E spans nest, host-side (build/cache) events on their own.
@@ -26,22 +30,29 @@ _TRACK_IDS = {"sim": 0, "host": 1}
 _TRACK_NAMES = {0: "firmware (DWT cycles)", 1: "host pipeline"}
 
 
-def _selected(recorder: FlightRecorder,
-              domain: Optional[str]) -> list[Event]:
-    return recorder.events(domain)
+def _selected(source: EventSource, domain: Optional[str]) -> list[Event]:
+    if isinstance(source, FlightRecorder):
+        return source.events(domain)
+    return [event for event in source
+            if domain is None or event.domain == domain]
 
 
-def chrome_trace(recorder: FlightRecorder,
-                 domain: Optional[str] = DOMAIN_SIM) -> str:
-    """Render the buffered events as Chrome trace-event JSON.
+def chrome_trace(source: EventSource, domain: Optional[str] = DOMAIN_SIM,
+                 *, dropped: Optional[int] = None) -> str:
+    """Render the events of ``source`` as Chrome trace-event JSON.
 
     ``domain`` selects which stream to export — the default ``"sim"``
     is the deterministic one; pass ``None`` to include host-side build
     and cache events (diagnostic, varies with cache temperature).
+    ``dropped`` (the ring's overflow count) defaults to the recorder's
+    own, or 0 for an event list.
     """
+    if dropped is None:
+        dropped = source.dropped if isinstance(source, FlightRecorder) \
+            else 0
     trace_events: list[dict] = []
     tracks_used: set[int] = set()
-    for event in _selected(recorder, domain):
+    for event in _selected(source, domain):
         tid = _TRACK_IDS.get(event.domain, 1)
         tracks_used.add(tid)
         entry: dict = {
@@ -67,7 +78,7 @@ def chrome_trace(recorder: FlightRecorder,
         "displayTimeUnit": "ns",
         "otherData": {
             "clock": "dwt-cycles",
-            "dropped": recorder.dropped,
+            "dropped": dropped,
             "recorded": len(trace_events),
         },
         "traceEvents": metadata + trace_events,
@@ -76,11 +87,11 @@ def chrome_trace(recorder: FlightRecorder,
                       separators=(",", ":")) + "\n"
 
 
-def event_tsv(recorder: FlightRecorder,
+def event_tsv(source: EventSource,
               domain: Optional[str] = DOMAIN_SIM) -> str:
     """One tab-separated row per event (args as canonical JSON)."""
     lines = ["seq\tts\tph\tkind\tname\tdomain\targs"]
-    for event in _selected(recorder, domain):
+    for event in _selected(source, domain):
         args = "" if not event.args else json.dumps(
             event.args, sort_keys=True, separators=(",", ":"))
         lines.append(f"{event.seq}\t{event.ts}\t{event.ph}\t{event.kind}"

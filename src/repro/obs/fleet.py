@@ -34,6 +34,16 @@ cross-worker layer:
   per-worker utilisation, cache temperature, and compile activity
   below it.  :func:`sim_dashboard_section` truncates at the marker.
 
+* **Store-served fan-outs** (:func:`lookup_entries`, :func:`fan_out`).
+  The evaluation's row tasks, the campaign's firmware reports and the
+  fleet's lanes are content-addressed store entries.  Each fan-out
+  looks every entry up once, in the calling process, and starts a
+  pool only for the misses (none for a single miss); with the store
+  off it looks nothing up.  A fleet lane's entry is its sim-domain
+  :class:`LaneTelemetry`, stored once ``verify_run`` has passed, so a
+  warm ``run_fleet`` serves every lane in the conductor and simulates
+  nothing; ``REPRO_CACHE=off`` gives a live run.
+
 The ``repro fleet`` CLI verb drives :func:`run_fleet`; the committed
 ``results/fleet_pinlock.{json,txt}`` pin the sim sections in
 ``tools/check_determinism.py``.
@@ -57,6 +67,7 @@ from .events import (
     FLEET_FIRMWARE,
     FLEET_RUN,
     INSTANT,
+    TRACE_TRUNCATED,
 )
 from .metrics import MetricsRegistry
 from .recorder import FlightRecorder, install, trace_capacity
@@ -248,6 +259,92 @@ def end_capture(token: _CaptureToken, *, worker: int = 0, label: str = "",
     )
 
 
+# -- store-served fan-outs -----------------------------------------------
+
+
+@dataclass
+class StoreLookup:
+    """One task's artifact-store lookup, made in the calling process."""
+
+    digest: str = ""                      # "" while the store is off
+    entry: object = None                  # the stored object; None = miss
+    envelope: Optional[WorkerTelemetry] = None   # the lookup's window
+
+
+def lookup_entries(tasks: Sequence, digest_of, *,
+                   capture: bool = False) -> list[StoreLookup]:
+    """Look each task's store entry up once, here, in task order.
+
+    ``digest_of(task)`` names the entry.  With ``capture`` every
+    lookup, its digest included, runs in its own capture window, so
+    a hit's envelope carries its own cache traffic.  With the store
+    off nothing is computed or read: every lookup is an empty miss.
+    The three store-served fan-outs (the evaluation's row tasks, the
+    campaign's firmware reports, ``repro fleet``'s lanes) all look
+    their entries up here, so a warm run serves every hit without
+    starting a worker.
+    """
+    from ..cache import active_store
+
+    store = active_store()
+    if store is None:
+        return [StoreLookup() for _ in tasks]
+    lookups = []
+    for task in tasks:
+        token = begin_capture() if capture else None
+        digest = digest_of(task)
+        entry = store.get(digest)
+        lookups.append(StoreLookup(
+            digest, entry,
+            end_capture(token) if token is not None else None))
+    return lookups
+
+
+def fan_out(worker, tasks: Sequence, jobs: int, *, digest_of=None,
+            chunked: bool = False) -> list[tuple[object, WorkerTelemetry]]:
+    """``(result, envelope)`` for each of ``tasks``, in order.
+
+    With ``digest_of``, each task's store entry is first looked up by
+    :func:`lookup_entries`; a hit is served as ``(entry, lookup
+    envelope)`` and goes no further.  Every other task runs as
+    ``worker((task, digest))``, a module-level pool entry point that
+    computes the result in its own capture window and stores it under
+    ``digest`` unless that is empty; the miss's lookup window is
+    folded into that envelope.  The misses run serially in this
+    process unless ``jobs`` > 1 and more than one task missed, then
+    in a pool of ``min(jobs, misses)`` processes: one task at a time
+    so an idle worker takes the next, or with ``chunked`` in
+    contiguous chunks of ``ceil(misses / workers)`` tasks.
+    """
+    lookups = lookup_entries(tasks, digest_of, capture=True) \
+        if digest_of is not None else [StoreLookup() for _ in tasks]
+    results: list = [(lookup.entry, lookup.envelope)
+                     if lookup.entry is not None else None
+                     for lookup in lookups]
+    misses = [position for position, lookup in enumerate(lookups)
+              if lookup.entry is None]
+    jobs_list = [(tasks[position], lookups[position].digest)
+                 for position in misses]
+    workers = min(jobs, len(jobs_list))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunksize = -(-len(jobs_list) // workers) if chunked else 1
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(worker, jobs_list,
+                                     chunksize=chunksize))
+    else:
+        computed = [worker(job) for job in jobs_list]
+    for position, (result, envelope) in zip(misses, computed):
+        earlier = lookups[position].envelope
+        if earlier is not None:
+            envelope.cache_counters = _sum_counters(
+                [earlier.cache_counters, envelope.cache_counters])
+            envelope.busy_us += earlier.busy_us
+        results[position] = (result, envelope)
+    return results
+
+
 # -- fleet runs ----------------------------------------------------------
 
 
@@ -266,8 +363,9 @@ class FleetResult:
 
     @property
     def lanes(self) -> list:
-        """Every lane of every worker, in canonical (name) order."""
-        return sorted((lane for env in self.envelopes
+        """Every lane, in canonical (name) order: those the conductor
+        served from the store and those the workers simulated."""
+        return sorted((lane for env in [self.parent, *self.envelopes]
                        for lane in env.lanes),
                       key=lambda lane: lane.name)
 
@@ -307,21 +405,26 @@ def _fleet_eval_worker(
         job: tuple[int, list, str, int, bool]) -> WorkerTelemetry:
     """Pool entry point: simulate one worker's slice of the lane grid.
 
-    Every lane simulates *fresh* under a dedicated recorder (a cached
+    ``job`` carries the lanes the store lacks, each with its lane
+    digest.  Every lane simulates under a dedicated recorder (a cached
     RunResult carries no event stream), as a batch-runner lane so
     flavours of the same module share compiled closures; builds are
     served by the artifact store as usual.  Each lane becomes its
-    :class:`LaneTelemetry` as it finishes and its machine is released
-    before the next lane's is built.  The sim-domain outcome of a
-    lane is therefore cache-temperature- and worker-count-independent.
-    The profile travels in ``job`` and reaches every build explicitly;
-    with one worker this runs in the caller's process, so it must not
-    touch ``os.environ``.
+    :class:`LaneTelemetry` as it finishes, which is stored under the
+    lane's digest once ``verify_run`` has passed (a faulted lane is
+    not stored), and its machine is released before the next lane's
+    is built.  The sim-domain outcome of a lane is therefore cache-
+    temperature- and worker-count-independent.  The profile travels
+    in ``job`` and reaches every build explicitly; with one worker
+    this runs in the caller's process, so it must not touch
+    ``os.environ``.
     """
     worker, specs, profile, capacity, trace = job
+    from ..cache import active_store
     from ..hw.exceptions import MachineError
     from ..interp.batch import BatchRunner, LaneFailure
 
+    store = active_store()
     host = FlightRecorder(capacity)
     previous = install(host)
     token = begin_capture()
@@ -334,7 +437,7 @@ def _fleet_eval_worker(
             # over); popped as each lane finishes, so its recorder goes
             # with its machine.
             pending = deque()
-            for app_name, kind, backend in specs:
+            for (app_name, kind, backend), digest in specs:
                 lane_name = f"{app_name}:{kind}:{backend}"
                 with wall_span(host, FLEET_BUILD, lane_name):
                     app, image = _lane_image(app_name, kind, profile)
@@ -342,10 +445,10 @@ def _fleet_eval_worker(
                 runner.add(image, name=lane_name, setup=app.setup,
                            max_instructions=app.max_instructions,
                            backend=backend, recorder=recorder)
-                pending.append((app, recorder, backend))
+                pending.append((app, recorder, backend, digest))
 
             def collect(lane) -> None:
-                app, recorder, backend = pending.popleft()
+                app, recorder, backend, digest = pending.popleft()
                 telemetry = LaneTelemetry(
                     name=lane.name, backend=backend,
                     cycles=lane.machine.cycles,
@@ -366,6 +469,8 @@ def _fleet_eval_worker(
                 else:
                     telemetry.halt_code = lane.halt_code
                     app.verify_run(lane.machine, lane.halt_code)
+                    if digest and store is not None:
+                        store.put(digest, telemetry)
                 collector().record_simulation(lane.machine.metrics)
                 lanes.append(telemetry)
                 lane.machine.release_devices()
@@ -381,6 +486,20 @@ def _fleet_eval_worker(
                                label=f"worker{worker}", lanes=lanes,
                                host_events=host.events())
     return envelope
+
+
+def _lane_digest(spec: tuple[str, str, str], profile: str, capacity: int,
+                 trace: bool) -> str:
+    """The store key of one lane's telemetry: its run's digest, the
+    ring capacity and the ``trace`` flag."""
+    from ..cache import lane_digest
+    from ..eval.workloads import _run_digest, build_app
+
+    app_name, kind, backend = spec
+    return lane_digest(
+        _run_digest(build_app(app_name, profile), app_name, kind, profile,
+                    backend),
+        capacity=capacity, trace=trace)
 
 
 def _lane_image(app_name: str, kind: str, profile: str):
@@ -411,12 +530,18 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
     the merged telemetry.
 
     ``target`` is an application name, ``all``, or ``campaign``.  Eval
-    targets expand to one lane per (app, build flavour, backend), split
-    round-robin over ``jobs`` workers (default ``REPRO_JOBS``); the
-    campaign target drives :func:`repro.campaign.run_campaign` with
-    telemetry capture on.  The sim-domain content of the result — lane
-    outcomes, per-lane event streams, merged sim metrics — is
-    byte-stable for any job count; only the host-domain spans differ.
+    targets expand to one lane per (app, build flavour, backend).  The
+    conductor looks every lane's telemetry entry up in the artifact
+    store first (:func:`lookup_entries`) and keeps the lanes it finds
+    as its own; the rest are split round-robin over ``jobs`` workers
+    (default ``REPRO_JOBS``), which simulate and store them, and no
+    worker starts when the store holds every lane.  ``REPRO_CACHE=off``
+    simulates every lane.  The campaign target drives
+    :func:`repro.campaign.run_campaign` with telemetry capture on.
+    The sim-domain content of the result — lane outcomes, per-lane
+    event streams, merged sim metrics — is byte-stable for any job
+    count and cache temperature; only the host-domain sections
+    differ.
     """
     from ..eval.workloads import active_profile, repro_jobs
 
@@ -427,6 +552,7 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
     parent_recorder = FlightRecorder(capacity)
     previous = install(parent_recorder)
     token = begin_capture()
+    served: list[LaneTelemetry] = []
     try:
         if target == "campaign":
             backends = tuple(backends) if backends \
@@ -441,11 +567,20 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
                 backends = (active_backend(),)
             backends = tuple(backends)
             specs = fleet_lane_specs(target, profile, backends)
+            lookups = lookup_entries(
+                specs, lambda spec: _lane_digest(spec, profile, capacity,
+                                                 trace))
+            served = [lookup.entry for lookup in lookups
+                      if lookup.entry is not None]
             envelopes = _dispatch_eval_workers(
-                specs, profile, capacity, trace, jobs, parent_recorder)
+                [(spec, lookup.digest)
+                 for spec, lookup in zip(specs, lookups)
+                 if lookup.entry is None],
+                profile, capacity, trace, jobs, parent_recorder)
     finally:
         install(previous)
         parent = end_capture(token, worker=0, label="conductor",
+                             lanes=served,
                              host_events=parent_recorder.events())
     wall_s = time.perf_counter() - start
     return FleetResult(target=target, profile=profile, backends=backends,
@@ -455,9 +590,12 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
 
 def _dispatch_eval_workers(specs, profile, capacity, trace, jobs,
                            parent_recorder) -> list[WorkerTelemetry]:
-    """Fan the lane grid out over worker processes (round-robin slices,
-    one long-lived job per worker) and collect their envelopes."""
-    workers = max(1, min(jobs, len(specs)))
+    """Fan the ``(spec, digest)`` lanes out over worker processes
+    (round-robin slices, one long-lived job per worker) and collect
+    their envelopes; none when there is no lane to simulate."""
+    if not specs:
+        return []
+    workers = min(jobs, len(specs))
     slices = [(index + 1, specs[index::workers], profile, capacity, trace)
               for index in range(workers)]
     if workers == 1:
@@ -511,6 +649,8 @@ def fuse_trace(result: FleetResult) -> str:
 
     Sim domain: pid 0, one tid per lane in sorted-name order and DWT
     cycle timestamps — canonical and byte-stable for any worker count.
+    A lane whose ring overflowed starts with a ``trace.truncated``
+    instant at its first kept event, carrying its dropped count.
     Host domain: pid 1 for the conductor, pid ``1 + worker`` for each
     worker; ``fleet.*`` spans carry wall-clock microseconds normalised
     to the earliest span, seq-stamped build/cache events keep their
@@ -529,6 +669,11 @@ def fuse_trace(result: FleetResult) -> str:
         metadata.append(
             {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
              "args": {"name": lane.name}})
+        if lane.dropped and lane.events:
+            events.append({"name": TRACE_TRUNCATED, "cat": TRACE_TRUNCATED,
+                           "ph": INSTANT, "ts": lane.events[0].ts,
+                           "pid": 0, "tid": tid, "s": "t",
+                           "args": {"dropped": lane.dropped}})
         for event in lane.events:
             entry = {"name": event.name, "cat": event.kind,
                      "ph": event.ph, "ts": event.ts, "pid": 0,
@@ -749,8 +894,9 @@ def sim_dashboard_section(dashboard: str) -> str:
 __all__ = [
     "FLEET_BUILD", "FLEET_CHUNK", "FLEET_DISPATCH", "FLEET_FIRMWARE",
     "FLEET_RUN", "HOST_SECTION_MARKER", "FleetResult", "LaneTelemetry",
-    "TelemetryCollector", "WorkerTelemetry", "begin_capture",
-    "collector", "end_capture", "fleet_lane_specs", "fuse_trace",
+    "StoreLookup", "TelemetryCollector", "WorkerTelemetry",
+    "begin_capture", "collector", "end_capture", "fan_out",
+    "fleet_lane_specs", "fuse_trace", "lookup_entries",
     "record_simulation", "render_dashboard", "reset", "run_fleet",
     "sim_dashboard_section", "sim_trace_section", "telemetry_summary",
     "validate_jobs", "wall_span",

@@ -109,6 +109,47 @@ def test_warm_rows_read_one_entry_per_app(cold, store, spies):
     assert all(path.is_file() for path in _row_paths(store))
 
 
+def test_warm_rows_at_two_jobs_start_no_worker(cold, store,
+                                               no_workers_or_simulation):
+    _root, cold_rows = cold
+    warm = workloads.compute_all_rows(jobs=2)
+    assert _tables(warm) == _tables(cold_rows)
+    assert [envelope.label for envelope in warm["telemetry"]] == \
+        ["conductor", *workloads.APP_NAMES]
+    # Each app's envelope carries its own row-entry hit.
+    assert [envelope.cache_counters.get("hits")
+            for envelope in warm["telemetry"][1:]] == \
+        [1] * len(workloads.APP_NAMES)
+    assert (warm["cache"]["hits"], warm["cache"]["misses"]) == \
+        (len(workloads.APP_NAMES), 0)
+
+
+def test_one_missing_row_entry_is_computed_in_process(
+        cold, store, spies, monkeypatch):
+    """With one row entry gone, the caller computes that app itself:
+    no pool starts for a single miss."""
+    import concurrent.futures
+
+    _root, cold_rows = cold
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("started a worker pool for one miss")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    _row_paths(store)[-1].unlink()
+    again = workloads.compute_all_rows(jobs=2)
+    assert _tables(again) == _tables(cold_rows)
+    assert spies["run_image"] == 0            # rows from the run entries
+    assert again["cache"]["stores"] == 1
+    *served, computed = again["telemetry"][1:]
+    assert [envelope.cache_counters for envelope in served] == \
+        [{"hits": 1, "bytes_read": envelope.cache_counters["bytes_read"]}
+         for envelope in served]
+    # The miss's caller-side lookup is charged to its app's envelope.
+    assert computed.cache_counters["misses"] >= 1
+    assert computed.cache_counters["stores"] == 1
+
+
 def test_corrupt_row_entry_is_recomputed(cold, store, spies):
     _root, cold_rows = cold
     path = _row_paths(store)[0]

@@ -137,6 +137,43 @@ def test_report_verdicts_pass():
     assert len(lane_rows) == 18
 
 
+def test_warm_campaign_starts_no_worker(tmp_path, monkeypatch, request):
+    """A warm store serves every firmware report in this process, each
+    in its own envelope; the cold envelopes carry their lookup miss."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+    config = dataclasses.replace(SMALL, jobs=2)
+    cold = run_campaign(config)
+    request.getfixturevalue("no_workers_or_simulation")
+    warm = run_campaign(config)
+    assert render_report(warm) == render_report(cold)
+    assert report_rows(warm) == report_rows(cold)
+    assert [(env.worker, env.label) for env in warm.telemetry] == \
+        [(env.worker, env.label) for env in cold.telemetry]
+    assert [(env.cache_counters["hits"], env.cache_counters.get("misses"))
+            for env in warm.telemetry] == [(1, None)] * config.firmwares
+    assert all(env.cache_counters["misses"] >= 1
+               and env.cache_counters["stores"] >= 1
+               for env in cold.telemetry)
+
+
+def test_store_off_campaign_generates_each_firmware_once(monkeypatch):
+    """With the store off the caller looks nothing up: each firmware is
+    generated once, by its evaluation."""
+    from repro.campaign import engine
+
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    generated = []
+    generate = engine.generate_firmware
+
+    def counting(seed, index):
+        generated.append(index)
+        return generate(seed, index)
+
+    monkeypatch.setattr(engine, "generate_firmware", counting)
+    run_campaign(SMALL)
+    assert generated == list(range(SMALL.firmwares))
+
+
 def _campaign_text(jobs: int, hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed

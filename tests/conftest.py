@@ -37,6 +37,27 @@ def no_artifact_store(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "off")
 
 
+@pytest.fixture
+def no_workers_or_simulation(monkeypatch):
+    """Make starting a process pool, or simulating anything, raise: a
+    warm fan-out must serve every entry in the calling process."""
+    import concurrent.futures
+
+    from repro import pipeline
+    from repro.eval import tracing, workloads
+    from repro.interp.batch import BatchRunner
+    from repro.interp.interpreter import Interpreter
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("started a worker pool or a simulation")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    for module in (pipeline, workloads, tracing):
+        monkeypatch.setattr(module, "run_image", forbidden)
+    monkeypatch.setattr(BatchRunner, "run", forbidden)
+    monkeypatch.setattr(Interpreter, "start", forbidden)
+
+
 def build_mini_module(*, shared_value: int = 7) -> ir.Module:
     """Two tasks sharing a counter; task_a owns a secret, task_b a blob.
 

@@ -106,7 +106,9 @@ def test_trace_buf_rejected_loudly():
         main(["trace", "PinLock", "--buf", "-8"])
 
 
-def test_fleet_command(capsys, tmp_path):
+def test_fleet_command(capsys, tmp_path, monkeypatch):
+    # An empty store, so worker 1 simulates every lane.
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
     base = tmp_path / "fleet"
     assert main(["fleet", "PinLock", "--jobs", "1", "--backends", "mpu",
                  "--output", str(base)]) == 0

@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 from repro.eval.export import export_all
+from repro.eval.tracing import record_app_trace
+from repro.obs import chrome_trace, event_tsv
+from repro.obs.fleet import sim_dashboard_section, sim_trace_section
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -28,6 +31,40 @@ def test_export_writes_text_and_tsv(tmp_path):
     campaign_txt = (tmp_path / "campaign_smoke.txt").read_text()
     assert "PASS (OPEC strictly more)" in campaign_txt
     assert "PASS (OPEC strictly lower)" in campaign_txt
+
+
+def _sim_bytes(directory: Path) -> dict[str, str]:
+    """Every exported file, the fleet files cut to their sim sections."""
+    files = {path.name: path.read_text() for path in directory.iterdir()}
+    files["fleet_pinlock.json"] = sim_trace_section(
+        files["fleet_pinlock.json"])
+    files["fleet_pinlock.txt"] = sim_dashboard_section(
+        files["fleet_pinlock.txt"])
+    return files
+
+
+def test_warm_export_starts_no_worker_and_simulates_nothing(
+        tmp_path, monkeypatch, request):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    export_all(str(tmp_path / "first"))
+    request.getfixturevalue("no_workers_or_simulation")
+    export_all(str(tmp_path / "warm"))
+    assert _sim_bytes(tmp_path / "warm") == _sim_bytes(tmp_path / "first")
+
+
+def test_export_trace_files_are_the_traced_pinlock_run(tmp_path):
+    """The PinLock trace files come from the fleet's OPEC lane; they
+    must be what a lone traced run renders."""
+    export_all(str(tmp_path))
+    recorder, result = record_app_trace("PinLock", "opec")
+    assert (tmp_path / "trace_pinlock.json").read_text() == \
+        chrome_trace(recorder)
+    assert (tmp_path / "trace_pinlock.tsv").read_text() == \
+        event_tsv(recorder)
+    assert (tmp_path / "metrics_pinlock.txt").read_text() == \
+        result.machine.metrics.render(
+            f"PinLock [opec] — halt={result.halt_code} "
+            f"cycles={result.cycles}") + "\n"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

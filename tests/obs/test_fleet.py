@@ -8,13 +8,15 @@ masking.
 
 import json
 import pickle
+import shutil
 
 import pytest
 
+from repro import cache
 from repro.obs import fleet
 from repro.obs.events import DOMAIN_HOST, FLEET_RUN
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, trace_capacity
 
 
 @pytest.fixture(autouse=True)
@@ -127,10 +129,14 @@ class TestRunFleet:
     """End-to-end fleet runs (inline worker: jobs=1)."""
 
     @pytest.fixture(scope="class")
-    def result(self):
+    def result(self, tmp_path_factory):
+        """Against an empty store, so every lane simulates in worker 1."""
         fleet.reset()
-        return fleet.run_fleet("PinLock", jobs=1, profile="quick",
-                               backends=("mpu",))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE",
+                         str(tmp_path_factory.mktemp("fleet") / "store"))
+            return fleet.run_fleet("PinLock", jobs=1, profile="quick",
+                                   backends=("mpu",))
 
     def test_lane_grid_and_outcomes(self, result):
         lanes = result.lanes
@@ -170,7 +176,9 @@ class TestRunFleet:
         assert all(lane.dropped == 0 for lane in result.lanes)
         assert "warning:" not in fleet.render_dashboard(result)
 
-    def test_tiny_ring_warns_of_dropped_events(self):
+    def test_tiny_ring_warns_of_dropped_events(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
         fleet.reset()
         tiny = fleet.run_fleet("PinLock", jobs=1, profile="quick",
                                backends=("mpu",), capacity=16)
@@ -182,6 +190,31 @@ class TestRunFleet:
             f"warning: {sum(lane.dropped for lane in truncated)} sim "
             f"events dropped in {len(truncated)} lanes (ring overflow); "
             f"those lanes' traces start mid-run")
+        # The fused trace marks each cut: one ``trace.truncated``
+        # instant at the lane's first kept event, with its drop count.
+        trace = fleet.fuse_trace(tiny)
+        document = json.loads(trace)
+        tids = {entry["args"]["name"]: entry["tid"]
+                for entry in document["traceEvents"]
+                if entry.get("pid") == 0 and entry["ph"] == "M"
+                and entry["name"] == "thread_name"}
+        markers = [entry for entry in document["traceEvents"]
+                   if entry["name"] == "trace.truncated"]
+        assert sorted((entry["tid"], entry["ts"], entry["args"]["dropped"])
+                      for entry in markers) == sorted(
+            (tids[lane.name], lane.events[0].ts, lane.dropped)
+            for lane in truncated)
+        assert all(entry["pid"] == 0 and entry["ph"] == "i"
+                   for entry in markers)
+        # A lane served from the store renders the same marker.
+        warm = fleet.run_fleet("PinLock", jobs=1, profile="quick",
+                               backends=("mpu",), capacity=16)
+        assert len(warm.parent.lanes) == len(tiny.lanes)
+        assert fleet.sim_trace_section(fleet.fuse_trace(warm)) == \
+            fleet.sim_trace_section(trace)
+
+    def test_no_truncation_marker_when_nothing_dropped(self, result):
+        assert "trace.truncated" not in fleet.fuse_trace(result)
 
     def test_no_trace_drops_lane_events_but_keeps_metrics(self):
         fleet.reset()
@@ -190,9 +223,12 @@ class TestRunFleet:
         assert all(not lane.events for lane in result.lanes)
         assert any(lane.metrics.counters for lane in result.lanes)
 
-    def test_worker_count_parity_of_sim_sections(self, result):
+    def test_worker_count_parity_of_sim_sections(self, result, tmp_path,
+                                                 monkeypatch):
         """Same lanes split over two workers: sim serialization must
-        be byte-identical, host domain must show both workers."""
+        be byte-identical, host domain must show both workers.  An
+        empty store, so the two workers simulate every lane."""
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
         fleet.reset()
         two = fleet.run_fleet("PinLock", jobs=2, profile="quick",
                               backends=("mpu",))
@@ -206,13 +242,14 @@ class TestRunFleet:
         assert len(worker_pids) >= 2
 
 
-def test_inline_worker_leaves_the_environment_alone(monkeypatch):
+def test_inline_worker_leaves_the_environment_alone(monkeypatch, tmp_path):
     """With one worker the fleet runs in the caller's process: the
     profile must reach the builds as an argument, never through
-    ``os.environ``."""
+    ``os.environ``.  An empty store, so every lane is built."""
     import os
 
     monkeypatch.setenv("REPRO_PROFILE", "paper")
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
     seen = []
     lane_image = fleet._lane_image
 
@@ -228,3 +265,164 @@ def test_inline_worker_leaves_the_environment_alone(monkeypatch):
     assert len(seen) == len(result.lanes) == 5
     assert set(seen) == {("paper", "quick")}
     assert os.environ["REPRO_PROFILE"] == "paper"
+
+
+# -- store-served fan-outs ---------------------------------------------------
+
+
+def _square(job):
+    """A :func:`fleet.fan_out` worker: squares, stores under the digest."""
+    number, digest = job
+    token = fleet.begin_capture()
+    if digest:
+        cache.active_store().put(digest, number * number)
+    return number * number, fleet.end_capture(token, label=str(number))
+
+
+def _digest(number) -> str:
+    return f"{number:064x}"
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("started a worker pool")
+
+
+class TestFanOut:
+    def test_hits_served_here_misses_run_and_stored(self, tmp_path,
+                                                    monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+        cache.active_store().put(_digest(3), 9)
+        seen = []
+
+        def worker(job):
+            seen.append(job)
+            return _square(job)
+
+        results = fleet.fan_out(worker, [2, 3, 4], 1, digest_of=_digest)
+        assert [value for value, _envelope in results] == [4, 9, 16]
+        assert seen == [(2, _digest(2)), (4, _digest(4))]
+        hit = results[1][1]
+        assert hit.cache_counters["hits"] == 1
+        # A miss's lookup window is folded into the worker's envelope.
+        assert results[0][1].label == "2"
+        assert results[0][1].cache_counters["misses"] == 1
+        assert results[0][1].cache_counters["stores"] == 1
+        # Everything is stored now: two jobs, yet no pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _forbidden)
+        again = fleet.fan_out(_forbidden, [2, 3, 4], 2, digest_of=_digest)
+        assert [value for value, _envelope in again] == [4, 9, 16]
+
+    def test_store_off_looks_nothing_up(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        assert [(lookup.digest, lookup.entry, lookup.envelope)
+                for lookup in fleet.lookup_entries(
+                    [1, 2], _forbidden, capture=True)] == \
+            [("", None, None)] * 2
+        results = fleet.fan_out(_square, [5, 6], 1, digest_of=_forbidden)
+        assert [value for value, _envelope in results] == [25, 36]
+
+    def test_pool_results_keep_task_order(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+        results = fleet.fan_out(_square, [7, 8, 9], 2, digest_of=_digest,
+                                chunked=True)
+        assert [value for value, _envelope in results] == [49, 64, 81]
+        assert all(envelope.cache_counters["stores"] == 1
+                   for _value, envelope in results)
+
+
+class TestLaneEntries:
+    """Fleet lanes as store entries: a warm ``run_fleet`` serves every
+    lane in the conductor and starts no worker."""
+
+    SPECS = fleet.fleet_lane_specs("PinLock", "quick", ("mpu",))
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        """(store root, result) of one cold two-worker run."""
+        root = tmp_path_factory.mktemp("lane-entries") / "store"
+        fleet.reset()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE", str(root))
+            result = fleet.run_fleet("PinLock", jobs=2, profile="quick",
+                                     backends=("mpu",))
+        return root, result
+
+    @pytest.fixture
+    def store(self, cold, tmp_path, monkeypatch):
+        """A private copy of the cold store."""
+        root, _result = cold
+        shutil.copytree(root, tmp_path / "store")
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "store"))
+        return cache.active_store()
+
+    def _paths(self, store):
+        return [store.path_for(fleet._lane_digest(
+                    spec, "quick", trace_capacity(), True))
+                for spec in self.SPECS]
+
+    @staticmethod
+    def _sim(result):
+        return (fleet.sim_trace_section(fleet.fuse_trace(result)),
+                fleet.sim_dashboard_section(fleet.render_dashboard(result)))
+
+    def test_cold_run_stores_one_entry_per_lane(self, cold, store):
+        _root, result = cold
+        assert all(path.is_file() for path in self._paths(store))
+        assert not result.parent.lanes
+        assert len(result.envelopes) == 2
+        assert result.parent.cache_counters["misses"] >= len(self.SPECS)
+
+    def test_warm_run_serves_every_lane_in_the_conductor(
+            self, cold, store, no_workers_or_simulation):
+        _root, cold_result = cold
+        warm = fleet.run_fleet("PinLock", jobs=2, profile="quick",
+                               backends=("mpu",))
+        assert warm.envelopes == []
+        assert len(warm.parent.lanes) == len(self.SPECS)
+        assert self._sim(warm) == self._sim(cold_result)
+        # Each entry is read once: N hits, no misses.
+        counters = warm.parent.cache_counters
+        assert (counters["hits"], counters.get("misses", 0)) == \
+            (len(self.SPECS), 0)
+        host = fleet.render_dashboard(warm).split(
+            fleet.HOST_SECTION_MARKER)[1]
+        conductor = next(line.split() for line in host.splitlines()
+                         if line.startswith("conductor"))
+        assert conductor[1] == str(len(self.SPECS))         # lanes
+        assert conductor[4:6] == [str(len(self.SPECS)), "0"]  # hits, misses
+
+    def test_corrupt_lane_entry_resimulates_only_that_lane(
+            self, cold, store, monkeypatch):
+        import concurrent.futures
+
+        _root, cold_result = cold
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _forbidden)
+        path = self._paths(store)[1]
+        path.write_bytes(b"opec-cache-v1\n" + b"0" * 64 + b"\ngarbage")
+        again = fleet.run_fleet("PinLock", jobs=2, profile="quick",
+                                backends=("mpu",))
+        assert store.counters.corrupt == 1
+        app, kind, backend = self.SPECS[1]
+        assert [lane.name for env in again.envelopes
+                for lane in env.lanes] == [f"{app}:{kind}:{backend}"]
+        assert len(again.parent.lanes) == len(self.SPECS) - 1
+        assert self._sim(again) == self._sim(cold_result)
+        assert path.is_file()                       # stored again
+
+
+def test_lane_digests_differ_by_capacity_trace_backend_and_profile():
+    spec = ("PinLock", "opec", "mpu")
+    base = fleet._lane_digest(spec, "quick", 65536, True)
+    assert fleet._lane_digest(spec, "quick", 65536, True) == base
+    variants = {
+        fleet._lane_digest(spec, "quick", 16, True),
+        fleet._lane_digest(spec, "quick", 65536, False),
+        fleet._lane_digest(("PinLock", "opec", "pmp"), "quick", 65536,
+                           True),
+        fleet._lane_digest(spec, "paper", 65536, True),
+    }
+    assert len(variants) == 4 and base not in variants

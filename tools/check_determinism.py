@@ -4,21 +4,25 @@
 Re-runs the full evaluation export (``repro.eval.export``) under the
 same profile the committed ``results/`` were produced with
 (``REPRO_PROFILE=quick``) **five times** — once against an empty
-artifact cache (cold, populating it), once against the now-populated
-cache with two workers (``REPRO_JOBS=2``, as in the end-to-end
-benchmark's warm export: each application's rows come from its row
-entry and each campaign firmware's report from its report entry, so
-only the PinLock flight-recorder trace and the fleet step simulate),
+artifact cache with two workers (``REPRO_JOBS=2``: cold, populating
+it, and the pass that byte-checks the row and campaign pools), once
+against the now-populated cache, again at ``REPRO_JOBS=2`` as in the
+end-to-end benchmark's warm export (each application's rows, each
+campaign firmware's report and each PinLock fleet lane come from
+their entries, so that pass starts no worker and simulates nothing),
 once with ``REPRO_CACHE=off``, once with ``REPRO_BLOCKCOMPILE=off``
 (the single-step reference interpreter), and once with
 ``REPRO_TRACEFUSE=off`` (per-block execution without loop fusion) —
 and compares every file of every pass byte-for-byte against the
-committed tree.  Every pass but the warm one runs serially.  That is
-the whole contract of the fast paths: a cache hit may only ever change
+committed tree.  The last three passes run serially.  That is the
+whole contract of the fast paths: a cache hit may only ever change
 *when* you get the bytes, and block compilation / trace fusion only
 *how fast* the simulated machine is stepped — never *which* bytes you
 get.  The store's run entries, which a warm export no longer reads,
 are held to the same rows by ``tests/cache/test_row_entries.py``.
+A sixth pass runs ``repro fleet PinLock`` with the store off at
+``--jobs 1`` and ``--jobs 2``, so both simulate every lane, and
+requires byte-identical sim sections and two worker pids.
 
 Each export runs as ``python -W error::RuntimeWarning -m
 repro.eval.export``, so an export module that the ``repro.eval``
@@ -160,7 +164,9 @@ def check_fleet(env: dict, failures: list[str]) -> None:
     """``repro fleet`` worker-count parity: the fused trace's
     sim-domain section and the dashboard above the host marker must be
     byte-identical between ``--jobs 1`` and ``--jobs 2``, and the
-    two-worker trace must actually contain at least two worker pids."""
+    two-worker trace must actually contain at least two worker pids.
+    ``env`` turns the store off: a warm store would serve every lane
+    in the conductor and start no worker."""
     from repro.obs.fleet import sim_dashboard_section, sim_trace_section
 
     sections: dict[int, tuple[str, str]] = {}
@@ -202,16 +208,17 @@ def main() -> int:
     env.setdefault("PYTHONPATH", str(REPO / "src"))
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
-        # Pass 1: empty store — every artifact cold-built, then stored.
+        # Pass 1: empty store, two workers — every artifact cold-built
+        # in the row, campaign and fleet pools, then stored.
         env["REPRO_CACHE"] = cache_dir
+        env["REPRO_JOBS"] = "2"
         count = check_export(committed, env, "cache-cold", failures)
         entries = sum(1 for _ in Path(cache_dir).glob("*/*/*.bin"))
         if entries == 0:
             failures.append(
                 "[cache-cold] export populated no cache entries")
-        # Pass 2: same store, now warm — each app's rows read from its
-        # row entry, by two workers.
-        env["REPRO_JOBS"] = "2"
+        # Pass 2: same store, now warm — every row, report and fleet
+        # lane read from its entry in the exporting process.
         check_export(committed, env, "cache-warm", failures)
         del env["REPRO_JOBS"]
         # Pass 3: store bypassed entirely.
@@ -229,8 +236,8 @@ def main() -> int:
         env["REPRO_TRACEFUSE"] = "off"
         check_export(committed, env, "tracefuse-off", failures)
         del env["REPRO_TRACEFUSE"]
-        # Pass 6: fleet worker-count parity, against the warm store.
-        env["REPRO_CACHE"] = cache_dir
+        # Pass 6: fleet worker-count parity, store still off, so both
+        # worker counts simulate every lane.
         check_fleet(env, failures)
     check_bench_analysis(env, failures)
     if failures:
@@ -238,11 +245,11 @@ def main() -> int:
         print("\n".join(failures))
         return 1
     print(f"determinism check passed: {count} files bit-identical across "
-          f"cold-cache, two-worker warm-cache ({entries} entries), "
+          f"two-worker cold-cache, warm-cache ({entries} entries), "
           "cache-off, "
           "blockcompile-off and tracefuse-off exports (table3 host "
           "wall-clock column and fleet host sections masked), fleet "
-          "sim domain byte-identical across --jobs 1/2, and "
+          "sim domain byte-identical across --jobs 1/2 (store off), and "
           "BENCH_analysis.json derived fields unchanged (host timings "
           "masked)")
     return 0
